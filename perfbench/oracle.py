@@ -68,7 +68,9 @@ def certified_depth(k: int, u) -> int:
 
     With x = -A.A >= 3 and K.A = x - 2, Cauchy-Schwarz in the complement of u
     turns u.A > 0 into (x - 2)^2 < beta x, beta = ((u.K)^2 - u.u K.K) / u.u.
+    beta does not change when u is scaled, so it is computed in integers.
     """
+    u = integral(u)
     uu = square(u)
     uk = pairing(u, canonical(k))
     beta = Fraction(uk * uk - uu * (9 - k), uu)

@@ -7,6 +7,7 @@ No timing: every case runs the program in-process on small inputs.
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ def certificate_record(k, u, v):
 @pytest.fixture(scope="module")
 def records():
     makeup = {(3, 4, False): 15, (5, 5, False): 15, (5, 0, True): 1}
-    return [certificate_record(k, u, v) for k, u, v in inputs.certify_pairs(7, makeup)]
+    return [certificate_record(k, u, v) for k, u, v in inputs.certify_pairs(7, makeup, draws=0)]
 
 
 def test_certificate_check_passes_on_program_output(records):
@@ -70,6 +71,14 @@ def test_reduction_check_catches_wrong_class_and_word():
         assert checks.check_reduction(k, start, moved, wrong, word)
         if word:
             assert checks.check_reduction(k, start, moved, reduced.coords, word[:-1])
+
+
+def test_weyl_cases_have_one_make_up_on_every_seed():
+    def make_up(seed):
+        return Counter((k, len(word)) for k, _, word, _ in inputs.weyl_cases(seed, 60))
+
+    every_cell_twice = Counter({(k, n): 2 for k in range(3, 9) for n in range(1, 6)})
+    assert make_up(1) == make_up(2) == every_cell_twice
 
 
 def sets_doc(k, u, tier=wc.CANDIDATE_TIER):
