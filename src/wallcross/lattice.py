@@ -24,7 +24,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import ValidationError
 
-Rat = Fraction
 Coord = Union[int, Fraction]
 
 PRODUCT = "product"
@@ -381,10 +380,6 @@ def primitive_signed(coords: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fmt_coeff(c: Coord) -> str:
-    return str(c)
-
-
 def render(surface: SurfaceModel, x: ClassLike) -> str:
     """Curve-style rendering: H-E_1-E_2, 2H-E_1, B-3F, (-1)H+2E_1, ..."""
     names = (
@@ -402,7 +397,7 @@ def render(surface: SurfaceModel, x: ClassLike) -> str:
         elif c == -1:
             term = f"-{name}"
         else:
-            term = f"{_fmt_coeff(c)}{name}"
+            term = f"{c}{name}"
         if parts and not term.startswith("-"):
             parts.append(f"+{term}")
         else:

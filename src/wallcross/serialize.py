@@ -12,8 +12,9 @@ produce identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any
 
 from .errors import ValidationError
 from .lattice import (
@@ -23,8 +24,12 @@ from .lattice import (
     SurfaceModel,
     SymplecticClass,
     blow_up,
+    is_sphere_candidate,
     lattice_class,
+    pairing,
     product,
+    render,
+    square,
     symplectic_class,
 )
 from .packing import CapacityProfile
@@ -33,15 +38,33 @@ from .spheres import (
     CERTIFIED_TIER,
     EnumerationResult,
     SphereClassSet,
+    _sort_key,
+    classify,
 )
-from .stability import (
-    StabilityCertificate,
-    StabilityVerdict,
-    WallCrossing,
-)
+from .stability import StabilityCertificate
 from .strata import StratificationIndex
 
 SCHEMA_VERSION = 1
+
+# JSON keys that differ from their dataclass field names.
+_KEYS = {
+    "square_floor": "floor",
+    "s_diff": "square_diff",
+    "certification_tier": "certification",
+    "t_star": "t",
+    "wall_class": "class",
+    "sq": "square",
+}
+
+# Top-level documents carry "schema" and name their surface; a record nested
+# in a document (a stratum label) leaves the surface to the document.
+_DOCUMENTS = (EnumerationResult, SphereClassSet, StabilityCertificate, CapacityProfile)
+
+# Field values that are written as they are.
+_PLAIN = (int, str, bool, type(None))
+
+# (field, key) pairs per record type, built on first use.
+_PLANS: dict[type, tuple[tuple[str, str], ...]] = {}
 
 
 def dumps(doc: Any) -> str:
@@ -87,13 +110,79 @@ def rational_from_json(value: Any) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Surfaces and classes
+# Writing
 
 
-def surface_to_json(surface: SurfaceModel) -> dict:
-    if surface.kind == PRODUCT:
-        return {"kind": PRODUCT}
-    return {"kind": BLOWUP, "k": surface.k}
+def to_json(obj: Any) -> Any:
+    """The JSON value of a result, a class, a surface, a rational or a tuple.
+
+    A result record becomes an object with one key per field, named as in
+    `_KEYS`; tuples become arrays.  Two records add to their fields: an
+    enumeration gives its "count", and a sphere-class set lists its status
+    labels only at the certified tier.
+    """
+    return _encode(obj)
+
+
+def _encode(obj: Any) -> Any:
+    # Recursion stays here, so a wrapper around the public names (a
+    # profiler's, say) sees one call per document.  Class arrays and plain
+    # fields are the bulk of large documents (a strata index holds ~10^5
+    # labels), so neither costs a call per item.
+    if isinstance(obj, LatticeClass):
+        return list(obj.coords)
+    if isinstance(obj, (tuple, list)):
+        return [list(x.coords) if type(x) is LatticeClass else _encode(x) for x in obj]
+    cls = type(obj)
+    plan = _PLANS.get(cls)
+    if plan is None:
+        if obj is None or isinstance(obj, (str, int)):
+            return obj
+        if isinstance(obj, Fraction):
+            return rational_to_json(obj)
+        if isinstance(obj, SymplecticClass):
+            return [rational_to_json(c) for c in obj.coords]
+        if isinstance(obj, SurfaceModel):
+            if obj.kind == PRODUCT:
+                return {"kind": PRODUCT}
+            return {"kind": BLOWUP, "k": obj.k}
+        plan = _PLANS[cls] = tuple(
+            (f.name, _KEYS.get(f.name, f.name))
+            for f in fields(cls)
+            if f.name != "surface" or cls in _DOCUMENTS
+        )
+    doc = {}
+    for name, key in plan:
+        value = getattr(obj, name)
+        doc[key] = value if type(value) in _PLAIN else _encode(value)
+    if cls in _DOCUMENTS:
+        doc["schema"] = SCHEMA_VERSION
+        if cls is EnumerationResult:
+            doc["count"] = len(obj.classes)
+        elif cls is SphereClassSet:
+            if obj.certification == CERTIFIED_TIER:
+                doc["status"] = [st for _, st in obj.status]
+            else:
+                del doc["status"]
+    return doc
+
+
+# The per-type writers of earlier releases, kept as names of `to_json`.
+surface_to_json = class_to_json = symplectic_to_json = to_json
+enumeration_to_json = sphere_set_to_json = verdict_to_json = to_json
+walls_to_json = certificate_to_json = profile_to_json = to_json
+
+
+def strata_to_json(
+    surface: SurfaceModel, u: SymplecticClass, index: StratificationIndex
+) -> dict:
+    """The strata document; the index itself holds neither surface nor u."""
+    doc = {"schema": SCHEMA_VERSION, "surface": to_json(surface), "u": to_json(u)}
+    return {**doc, **to_json(index)}
+
+
+# ---------------------------------------------------------------------------
+# Reading
 
 
 def surface_from_json(doc: Any) -> SurfaceModel:
@@ -110,10 +199,6 @@ def surface_from_json(doc: Any) -> SurfaceModel:
     raise ValidationError(f"unknown surface kind {kind!r}")
 
 
-def class_to_json(a: LatticeClass) -> list[int]:
-    return list(a.coords)
-
-
 def class_from_json(surface: SurfaceModel, doc: Any) -> LatticeClass:
     if not isinstance(doc, list):
         raise ValidationError(f"not a class document: {doc!r}")
@@ -127,49 +212,10 @@ def class_from_json(surface: SurfaceModel, doc: Any) -> LatticeClass:
     return lattice_class(surface, vals)
 
 
-def symplectic_to_json(u: SymplecticClass) -> list:
-    return [rational_to_json(c) for c in u.coords]
-
-
 def symplectic_from_json(surface: SurfaceModel, doc: Any) -> SymplecticClass:
     if not isinstance(doc, list):
         raise ValidationError(f"not a symplectic class document: {doc!r}")
     return symplectic_class(surface, [rational_from_json(v) for v in doc])
-
-
-def _classes_to_json(classes: Sequence[LatticeClass]) -> list[list[int]]:
-    return [class_to_json(a) for a in classes]
-
-
-# ---------------------------------------------------------------------------
-# Result documents
-
-
-def enumeration_to_json(result: EnumerationResult) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "surface": surface_to_json(result.surface),
-        "square": result.sq,
-        "classes": _classes_to_json(result.classes),
-        "count": len(result.classes),
-        "complete": result.complete,
-    }
-
-
-def sphere_set_to_json(s: SphereClassSet) -> dict:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "surface": surface_to_json(s.surface),
-        "u": symplectic_to_json(s.u),
-        "floor": s.square_floor,
-        "classes": _classes_to_json(s.classes),
-        "certification": s.certification,
-        "full": s.full,
-        "complete": s.complete,
-    }
-    if s.certification == CERTIFIED_TIER:
-        doc["status"] = [st for _, st in s.status]
-    return doc
 
 
 def sphere_set_from_json(doc: Any) -> SphereClassSet:
@@ -186,8 +232,8 @@ def sphere_set_from_json(doc: Any) -> SphereClassSet:
         floor = doc["floor"]
         classes = tuple(class_from_json(surface, c) for c in doc["classes"])
         certification = doc["certification"]
-        full = bool(doc["full"])
-        complete = bool(doc["complete"])
+        full = doc["full"]
+        complete = doc["complete"]
     except KeyError as exc:
         raise ValidationError(
             f"sphere-class set document is missing key {exc.args[0]!r}"
@@ -204,6 +250,10 @@ def sphere_set_from_json(doc: Any) -> SphereClassSet:
                 "certified-tier document needs a status array parallel to classes"
             )
         status = tuple(zip(classes, labels))
+    for key, flag in (("full", full), ("complete", complete)):
+        if not isinstance(flag, bool):
+            raise ValidationError(f"{key} must be true or false, got {flag!r}")
+    _check_members(surface, u, floor, classes, status)
     return SphereClassSet(
         surface=surface,
         u=u,
@@ -216,115 +266,26 @@ def sphere_set_from_json(doc: Any) -> SphereClassSet:
     )
 
 
-def strata_to_json(
-    surface: SurfaceModel, u: SymplecticClass, index: StratificationIndex
-) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "surface": surface_to_json(surface),
-        "u": symplectic_to_json(u),
-        "level": index.level,
-        "strata": [
-            {"classes": _classes_to_json(s.classes), "codim": s.codim}
-            for s in index.strata
-        ],
-        "residual_codim": index.residual_codim,
-    }
-
-
-def verdict_to_json(verdict: StabilityVerdict) -> dict:
-    return {
-        "mode": verdict.mode,
-        "level": verdict.level,
-        "iso_range": list(verdict.iso_range) if verdict.iso_range else None,
-        "pi0_equal": verdict.pi0_equal,
-        "justification": list(verdict.justification),
-        "certification": verdict.certification_tier,
-        "floor": verdict.square_floor,
-        "square_diff": verdict.s_diff,
-    }
-
-
-def walls_to_json(walls: Sequence[WallCrossing]) -> list[dict]:
-    return [
-        {
-            "class": class_to_json(w.wall_class),
-            "t": rational_to_json(w.t_star),
-            "direction": w.direction,
-        }
-        for w in walls
-    ]
-
-
-def certificate_to_json(cert: StabilityCertificate) -> dict:
-    perturbation = None
-    if cert.perturbation is not None:
-        p = cert.perturbation
-        perturbation = {
-            "original": symplectic_to_json(p.original),
-            "replacement": symplectic_to_json(p.replacement),
-            "epsilon": rational_to_json(p.epsilon),
-            "direction": class_to_json(p.direction),
-            "witness_depth": p.witness_depth,
-        }
-    return {
-        "schema": SCHEMA_VERSION,
-        "surface": surface_to_json(cert.surface),
-        "u": symplectic_to_json(cert.u),
-        "u_prime": symplectic_to_json(cert.u_prime),
-        "walls": walls_to_json(cert.walls),
-        "generic": cert.generic,
-        "perturbation": perturbation,
-        "samples": [symplectic_to_json(s) for s in cert.samples],
-        "chain": [
-            {
-                "left": symplectic_to_json(link.left),
-                "right": symplectic_to_json(link.right),
-                "relation": link.relation,
-                "lost": _classes_to_json(link.lost),
-                "gained": _classes_to_json(link.gained),
-                "justification": link.justification,
-            }
-            for link in cert.chain
-        ],
-        "verdict": verdict_to_json(cert.verdict),
-        "floor": cert.square_floor,
-    }
-
-
-def profile_to_json(profile: CapacityProfile) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "base": surface_to_json(profile.base),
-        "target": surface_to_json(profile.target),
-        "weights": [rational_to_json(w) for w in profile.weights],
-        "u_start": symplectic_to_json(profile.u_start),
-        "direction": symplectic_to_json(profile.direction),
-        "c_max": rational_to_json(profile.c_max),
-        "c_max_source": profile.c_max_source,
-        "critical_values": [rational_to_json(c) for c in profile.critical_values],
-        "walls": [
-            {
-                "value": rational_to_json(w.value),
-                "classes": _classes_to_json(w.classes),
-            }
-            for w in profile.walls
-        ],
-        "flagged": [
-            {
-                "class": class_to_json(f.wall_class),
-                "value": rational_to_json(f.value),
-            }
-            for f in profile.flagged
-        ],
-        "intervals": [
-            {
-                "lower": rational_to_json(iv.lower),
-                "upper": rational_to_json(iv.upper),
-                "forward": iv.forward,
-                "certification": iv.certification,
-            }
-            for iv in profile.intervals
-        ],
-        "notes": list(profile.notes),
-    }
+def _check_members(
+    surface: SurfaceModel,
+    u: SymplecticClass,
+    floor: int,
+    classes: tuple[LatticeClass, ...],
+    status: tuple[tuple[LatticeClass, str], ...],
+) -> None:
+    """Reject members that `spherical_set` could not have produced."""
+    key = _sort_key(surface)
+    for i, a in enumerate(classes):
+        if not is_sphere_candidate(surface, a):
+            problem = "is not a sphere-class candidate"
+        elif not -floor <= square(surface, a) <= -1:
+            problem = f"has a square outside [-{floor}, -1]"
+        elif pairing(surface, u, a) <= 0:
+            problem = "does not pair positively with u"
+        elif i and key(classes[i - 1]) >= key(a):
+            problem = "is repeated or out of set order"
+        elif status and status[i][1] != classify(surface, a):
+            problem = f"is labelled {status[i][1]!r}, not {classify(surface, a)!r}"
+        else:
+            continue
+        raise ValidationError(f"set member {render(surface, a)} {problem}")

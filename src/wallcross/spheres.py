@@ -44,7 +44,6 @@ from .lattice import (
     adjunction_defect,
     is_root,
     pairing,
-    render,
     square,
     validate_forward,
 )
@@ -427,11 +426,15 @@ def _sort_key(surface: SurfaceModel):
 
 def _resolve_depth(
     surface: SurfaceModel,
-    u: SymplecticClass,
+    classes: Sequence[SymplecticClass],
     n: Optional[int],
     bounds: Optional[EnumerationBounds],
 ) -> tuple[int, bool]:
-    """Effective depth and whether it reaches the certified full depth."""
+    """Effective depth and whether it reaches the certified full depth.
+
+    The certified depth is the largest of the classes' own, so it bounds the
+    search for every one of them.
+    """
     if n is not None:
         if n < 1:
             raise ValidationError(f"depth must be >= 1, got {n}")
@@ -439,10 +442,10 @@ def _resolve_depth(
     elif bounds is not None and bounds.square_min is not None:
         depth = -bounds.square_min
     else:
-        return full_search_depth(surface, u), True
+        return max(full_search_depth(surface, c) for c in classes), True
     if surface.kind == BLOWUP and surface.k == 9:
         return depth, False
-    return depth, depth >= full_search_depth(surface, u)
+    return depth, depth >= max(full_search_depth(surface, c) for c in classes)
 
 
 def spherical_set(
@@ -461,7 +464,7 @@ def spherical_set(
     if certification not in (CANDIDATE_TIER, CERTIFIED_TIER):
         raise ValidationError(f"unknown certification tier {certification!r}")
     validate_forward(surface, u)
-    depth, full = _resolve_depth(surface, u, n, bounds)
+    depth, full = _resolve_depth(surface, (u,), n, bounds)
     pool, complete = _negative_candidates(surface, depth, bounds)
     w = integral_dual(surface, u)
     members = [a for a in pool if sum(map(mul, w, a.coords)) > 0]
@@ -520,15 +523,8 @@ def symmetric_difference(
     """
     validate_forward(surface, u)
     validate_forward(surface, v)
-    depth = n
-    if depth is None and not (
-        bounds is not None and bounds.square_min is not None
-    ):
-        depth = pair_search_depth(surface, u, v)
+    depth, _ = _resolve_depth(surface, (u, v), n, bounds)
     sa = spherical_set(surface, u, depth, bounds, certification)
     sb = spherical_set(surface, v, depth, bounds, certification)
     return set_difference(sa, sb)
 
-
-def describe_classes(surface: SurfaceModel, classes: Sequence[LatticeClass]) -> str:
-    return ", ".join(render(surface, a) for a in classes) or "(none)"

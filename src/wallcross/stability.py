@@ -32,7 +32,6 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
-    BLOWUP,
     LatticeClass,
     SurfaceModel,
     SymplecticClass,
@@ -47,13 +46,14 @@ from .spheres import (
     CANDIDATE_TIER,
     CERTIFIED_TIER,
     EnumerationBounds,
-    SphereClassSet,
+    _resolve_depth,
     candidate_pool,
+    enumerate_candidates,
     integral_dual,
     is_certified,
-    pair_search_depth,
     set_difference,
     spherical_set,
+    symmetric_difference,
 )
 
 MODE_FULL = "full"
@@ -69,6 +69,11 @@ RELATION_SUPERSET = "superset"
 RELATION_TWO_SIDED = "two_sided"
 
 _MAX_EPS_HALVINGS = 64
+
+_NO_PERTURBATION = (
+    "no basis perturbation repairs the segment: the left endpoint lies "
+    "on a wall of its own chamber (degenerate input)"
+)
 
 
 @dataclass(frozen=True)
@@ -154,43 +159,6 @@ def _blend(u: SymplecticClass, v: SymplecticClass, t: Fraction) -> SymplecticCla
     )
 
 
-def _resolve_pair_depth(
-    surface: SurfaceModel,
-    u: SymplecticClass,
-    v: SymplecticClass,
-    n: Optional[int],
-    bounds: Optional[EnumerationBounds],
-) -> tuple[int, bool]:
-    """Working depth for a segment, and whether it is certified complete."""
-    if n is not None:
-        if n < 1:
-            raise ValidationError(f"depth must be >= 1, got {n}")
-        depth = n
-    elif bounds is not None and bounds.square_min is not None:
-        depth = -bounds.square_min
-    else:
-        return pair_search_depth(surface, u, v), True
-    if surface.kind == BLOWUP and surface.k == 9:
-        return depth, False
-    return depth, depth >= pair_search_depth(surface, u, v)
-
-
-def _sets_at_depth(
-    surface: SurfaceModel,
-    w: SymplecticClass,
-    depth: int,
-    bounds: Optional[EnumerationBounds],
-) -> SphereClassSet:
-    return spherical_set(surface, w, depth, bounds)
-
-
-def _diff_classes(
-    sa: SphereClassSet, sb: SphereClassSet
-) -> tuple[tuple[LatticeClass, ...], tuple[LatticeClass, ...]]:
-    only_a, only_b = set_difference(sa, sb)
-    return only_a.classes, only_b.classes
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 
@@ -220,91 +188,61 @@ def max_stable_level(
     follows.  A truncated search (explicit depth, or the 9-fold blow-up)
     can certify a level but never fullness.
     """
-    validate_forward(surface, u)
-    validate_forward(surface, v)
-    depth, certified_depth = _resolve_pair_depth(surface, u, v, n, bounds)
-    sa = _sets_at_depth(surface, u, depth, bounds)
-    sb = _sets_at_depth(surface, v, depth, bounds)
-    only_u, only_v = _diff_classes(sa, sb)
-    diff = only_u + only_v
-    truncated = not (certified_depth and sa.complete and sb.complete)
-    if not diff:
-        if not truncated:
-            just = (
-                f"the full sphere-class sets coincide (no separating class "
-                f"down to the certified square floor -{depth})",
-                "both classes lie in one chamber of the wall arrangement: "
-                "homotopy groups of the symplectomorphism groups agree in "
-                "every positive degree, and the component counts of the "
-                "symplectomorphism subgroup of the identity diffeomorphism "
-                "component agree as well",
-            )
-            return StabilityVerdict(
-                mode=MODE_FULL,
-                level=None,
-                iso_range=None,
-                pi0_equal=True,
-                justification=just,
-                certification_tier=CERTIFIED_TIER,
-                square_floor=depth,
-                s_diff=None,
-            )
-        level = depth
-        rng = _range_for(level)
+    only_u, only_v = symmetric_difference(surface, u, v, n, bounds)
+    depth = only_u.square_floor
+    diff = only_u.classes + only_v.classes
+    truncated = not all(s.full and s.complete for s in (only_u, only_v))
+    s_diff: Optional[int] = None
+    tier = CERTIFIED_TIER
+    if not diff and not truncated:
+        mode, level = MODE_FULL, None
+        just = (
+            f"the full sphere-class sets coincide (no separating class "
+            f"down to the certified square floor -{depth})",
+            "both classes lie in one chamber of the wall arrangement: "
+            "homotopy groups of the symplectomorphism groups agree in "
+            "every positive degree, and the component counts of the "
+            "symplectomorphism subgroup of the identity diffeomorphism "
+            "component agree as well",
+        )
+    elif not diff:
+        mode, level = MODE_LEVEL, depth
         just = (
             f"sphere-class sets coincide at every explored square >= -{depth}; "
             f"deeper squares were not searched (truncated query, no "
             f"finiteness certificate applies)",
-            _range_sentence(level, rng),
+            _range_sentence(level, _range_for(level)),
         )
-        return StabilityVerdict(
-            mode=MODE_LEVEL,
-            level=level,
-            iso_range=rng,
-            pi0_equal=False,
-            justification=just,
-            certification_tier=CERTIFIED_TIER,
-            square_floor=depth,
-            s_diff=None,
+    else:
+        s_diff = max(square(surface, a) for a in diff)
+        witness = next(a for a in diff if square(surface, a) == s_diff)
+        tier = _tier_of(surface, diff)
+        tier_note = (
+            "every separating class is a certified exceptional or root class"
+            if tier == CERTIFIED_TIER
+            else "some separating classes are uncertified candidates (square <= -3); "
+            "their geometric status is conjectural"
         )
-    s_diff = max(square(surface, a) for a in diff)
-    witness = next(a for a in diff if square(surface, a) == s_diff)
-    tier = _tier_of(surface, diff)
-    tier_note = (
-        "every separating class is a certified exceptional or root class"
-        if tier == CERTIFIED_TIER
-        else "some separating classes are uncertified candidates (square <= -3); "
-        "their geometric status is conjectural"
-    )
-    if s_diff == -1:
-        just = (
-            f"the sets differ already among square -1 classes "
-            f"(e.g. {render(surface, witness)}); no stability range is certified",
-            tier_note,
-        )
-        return StabilityVerdict(
-            mode=MODE_NONE,
-            level=None,
-            iso_range=None,
-            pi0_equal=False,
-            justification=just,
-            certification_tier=tier,
-            square_floor=depth,
-            s_diff=s_diff,
-        )
-    level = -s_diff - 1
-    rng = _range_for(level)
-    just = (
-        f"sphere-class sets coincide at squares >= -{level} and first differ "
-        f"at square {s_diff} (e.g. {render(surface, witness)})",
-        _range_sentence(level, rng),
-        tier_note,
-    )
+        if s_diff == -1:
+            mode, level = MODE_NONE, None
+            just = (
+                f"the sets differ already among square -1 classes "
+                f"(e.g. {render(surface, witness)}); no stability range is certified",
+                tier_note,
+            )
+        else:
+            mode, level = MODE_LEVEL, -s_diff - 1
+            just = (
+                f"sphere-class sets coincide at squares >= -{level} and first differ "
+                f"at square {s_diff} (e.g. {render(surface, witness)})",
+                _range_sentence(level, _range_for(level)),
+                tier_note,
+            )
     return StabilityVerdict(
-        mode=MODE_LEVEL,
+        mode=mode,
         level=level,
-        iso_range=rng,
-        pi0_equal=False,
+        iso_range=_range_for(level) if mode == MODE_LEVEL else None,
+        pi0_equal=mode == MODE_FULL,
         justification=just,
         certification_tier=tier,
         square_floor=depth,
@@ -342,11 +280,8 @@ def segment_walls(
     whose wall contains an endpoint (crossing parameter 0 or 1), or contains
     the entire segment, is degenerate input and rejected by name.
     """
-    validate_forward(surface, u)
-    validate_forward(surface, v)
-    depth, _ = _resolve_pair_depth(surface, u, v, n, bounds)
-    sa = _sets_at_depth(surface, u, depth, bounds)
-    sb = _sets_at_depth(surface, v, depth, bounds)
+    only_u, only_v = symmetric_difference(surface, u, v, n, bounds)
+    depth = only_u.square_floor
     # A class on the walls of both endpoints belongs to neither set, so the
     # degeneracy scan must run over the whole pool, not just the members.
     wu = integral_dual(surface, u)
@@ -360,10 +295,9 @@ def segment_walls(
                 f"both endpoints lie on the wall of {render(surface, a)}; "
                 f"the segment runs inside that hyperplane"
             )
-    only_u, only_v = _diff_classes(sa, sb)
     crossings: list[WallCrossing] = []
     for direction, side in ((DIRECTION_LOST, only_u), (DIRECTION_GAINED, only_v)):
-        for a in side:
+        for a in side.classes:
             pu = pairing(surface, u, a)
             pv = pairing(surface, v, a)
             t_star = Fraction(pu, pu - pv)
@@ -422,6 +356,17 @@ def _perturb_detail(
 ) -> tuple[SymplecticClass, Optional[PerturbationRecord]]:
     if _segment_ready(surface, u, v, bounds, n):
         return u, None
+    # Square -2 candidates are roots.  If u lies on the wall of a root R in
+    # the pool, neither R nor -R is in set(u), so a replacement keeping
+    # set(u) lies on that wall as well, and the wall meets its segment to v
+    # at t* = 0 or contains it: no basis direction can succeed.
+    depth, _ = _resolve_depth(surface, (u, v), n, bounds)
+    wu = integral_dual(surface, u)
+    if depth >= 2 and any(
+        sum(map(mul, wu, r.coords)) == 0
+        for r in enumerate_candidates(surface, -2, bounds).classes
+    ):
+        raise ValidationError(_NO_PERTURBATION)
     basis = surface.basis()
     for j in range(_MAX_EPS_HALVINGS + 1):
         eps = Fraction(1, 2**j)
@@ -431,11 +376,11 @@ def _perturb_detail(
             )
             if not is_forward(surface, cand):
                 continue
-            witness_depth, _ = _resolve_pair_depth(surface, u, cand, n, bounds)
-            su = _sets_at_depth(surface, u, witness_depth, bounds)
-            sc = _sets_at_depth(surface, cand, witness_depth, bounds)
-            lost, gained = _diff_classes(su, sc)
-            if lost or gained:
+            witness_depth, _ = _resolve_depth(surface, (u, cand), n, bounds)
+            su = spherical_set(surface, u, witness_depth, bounds)
+            sc = spherical_set(surface, cand, witness_depth, bounds)
+            lost, gained = set_difference(su, sc)
+            if lost.classes or gained.classes:
                 continue
             if not _segment_ready(surface, cand, v, bounds, n):
                 continue
@@ -446,10 +391,7 @@ def _perturb_detail(
                 direction=b,
                 witness_depth=witness_depth,
             )
-    raise ValidationError(
-        "no basis perturbation repairs the segment: the left endpoint lies "
-        "on a wall of its own chamber (degenerate input)"
-    )
+    raise ValidationError(_NO_PERTURBATION)
 
 
 def perturb(
@@ -502,7 +444,7 @@ def certify(
         raise ConsistencyError(
             "segment still not generic after perturbation; this is a bug"
         )
-    depth, _ = _resolve_pair_depth(surface, base, v, n, bounds)
+    depth, _ = _resolve_depth(surface, (base, v), n, bounds)
 
     t_values = sorted({w.t_star for w in walls})
     sample_ts: list[Fraction] = [Fraction(0)]
@@ -511,10 +453,10 @@ def certify(
     sample_ts.append(Fraction(1))
     samples = tuple(_blend(base, v, t) for t in sample_ts)
 
-    sets = [_sets_at_depth(surface, s, depth, bounds) for s in samples]
+    sets = [spherical_set(surface, s, depth, bounds) for s in samples]
     chain: list[ChainLink] = []
     for i in range(len(samples) - 1):
-        lost, gained = _diff_classes(sets[i], sets[i + 1])
+        lost, gained = (s.classes for s in set_difference(sets[i], sets[i + 1]))
         lo, hi = sample_ts[i], sample_ts[i + 1]
         expect_lost = tuple(
             sorted(

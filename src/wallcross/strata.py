@@ -31,7 +31,7 @@ from .lattice import (
     render,
     square,
 )
-from .spheres import EnumerationBounds, spherical_set
+from .spheres import EnumerationBounds, _sort_key, spherical_set
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,8 @@ def admissible_set(
         raise ValidationError(
             "classes are not admissible (some pairwise intersection is negative)"
         )
-    key = _label_key(surface)
-    ordered = tuple(sorted(classes, key=key))
+    ordered = tuple(sorted(classes, key=_sort_key(surface)))
     return AdmissibleSet(surface, ordered, sum(cod(surface, a) for a in ordered))
-
-
-def _label_key(surface: SurfaceModel):
-    def key(a: LatticeClass):
-        return (-square(surface, a), a.coords)
-
-    return key
 
 
 def enumerate_admissible(
@@ -126,11 +118,9 @@ def enumerate_admissible(
     if level < 2 or level % 2 != 0:
         raise ValidationError(f"level must be an even integer >= 2, got {level}")
     depth = level // 2
-    pool_set = spherical_set(surface, u, depth, bounds)
-    key = _label_key(surface)
     pool = [
         a
-        for a in sorted(pool_set.classes, key=key)
+        for a in spherical_set(surface, u, depth, bounds).classes
         if square(surface, a) <= -2 and cod(surface, a) < level
     ]
     weights = [cod(surface, a) for a in pool]

@@ -79,6 +79,20 @@ def test_diff_file_mode_matches_direct(capsys, tmp_path):
     assert via_files["only_v"]["classes"] == [[1, -3]]
 
 
+def test_diff_rejects_a_tampered_set_file(capsys, tmp_path):
+    common = ("--surface", "product", "--floor", "6")
+    doc_a = run_json(capsys, "sets", "--u", "5/2,1", *common)
+    doc_b = run_json(capsys, "sets", "--u", "7/2,1", *common)
+    doc_a["classes"].append([5, 5])  # square 50, not a sphere class
+    fa = tmp_path / "a.json"
+    fb = tmp_path / "b.json"
+    fa.write_text(json.dumps(doc_a))
+    fb.write_text(json.dumps(doc_b))
+    code, _, err = run(capsys, "diff", "--sets-a", str(fa), "--sets-b", str(fb))
+    assert code == 2
+    assert "set member 5B+5F" in err
+
+
 def test_diff_rejects_mixed_modes(capsys, tmp_path):
     f = tmp_path / "a.json"
     f.write_text("{}")

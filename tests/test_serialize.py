@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,3 +190,84 @@ def test_dumps_is_deterministic_and_compact():
     out = dumps(doc)
     assert out == '{"a":[1,2],"b":"1/2","c":{"x":2,"y":1}}'
     assert dumps(json.loads(out)) == out
+
+
+def _certified_set_doc():
+    s = wc.blow_up(3)
+    u = wc.from_areas(s, (10, 4, 3, 2))
+    return sphere_set_to_json(
+        wc.spherical_set(s, u, 3, certification=wc.CERTIFIED_TIER)
+    )
+
+
+@pytest.mark.parametrize("key", ["full", "complete"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_sphere_set_flags_must_be_json_booleans(key, value):
+    doc = dict(_certified_set_doc(), **{key: value})
+    with pytest.raises(ValidationError, match=f"{key} must be true or false"):
+        sphere_set_from_json(doc)
+
+
+def _with_member(doc, coords, label="candidate"):
+    return dict(
+        doc, classes=doc["classes"] + [coords], status=doc["status"] + [label]
+    )
+
+
+def _reversed(doc):
+    return dict(doc, classes=doc["classes"][::-1], status=doc["status"][::-1])
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        pytest.param(
+            lambda d: _with_member(d, [0, 0, 0, 0]),
+            "not a sphere-class candidate",
+            id="zero",
+        ),
+        # 2E_1 has square -4 and adjunction defect -4
+        pytest.param(
+            lambda d: _with_member(d, [0, 2, 0, 0]),
+            "not a sphere-class candidate",
+            id="adjunction",
+        ),
+        # H-E_1 has square 0; at floor 1 the roots lie below the floor
+        pytest.param(
+            lambda d: _with_member(d, [1, -1, 0, 0]),
+            "square outside [-3, -1]",
+            id="square-zero",
+        ),
+        pytest.param(
+            lambda d: dict(d, floor=1), "square outside [-1, -1]", id="below-floor"
+        ),
+        # E_2-E_1 is a root on which u = (10, 4, 3, 2) has area -1
+        pytest.param(
+            lambda d: _with_member(d, [0, -1, 1, 0], "root"),
+            "does not pair positively",
+            id="negative-area",
+        ),
+        pytest.param(_reversed, "repeated or out of set order", id="order"),
+        pytest.param(
+            lambda d: _with_member(d, d["classes"][-1], "root"),
+            "repeated or out of set order",
+            id="repeated",
+        ),
+        pytest.param(
+            lambda d: dict(d, status=["root"] + d["status"][1:]),
+            "is labelled 'root', not 'exceptional'",
+            id="status",
+        ),
+    ],
+)
+def test_sphere_set_rejects_impossible_members(tamper, message):
+    doc = _certified_set_doc()
+    sphere_set_from_json(doc)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        sphere_set_from_json(tamper(doc))
+    # the same members without status labels, at the candidate tier
+    if "labelled" not in message:
+        bare = dict(tamper(doc), certification=wc.CANDIDATE_TIER)
+        del bare["status"]
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sphere_set_from_json(bare)

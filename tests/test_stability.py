@@ -6,6 +6,10 @@ import wallcross as wc
 from wallcross import DegenerateSegmentError, ValidationError
 
 P = wc.product()
+UNREPAIRABLE = (
+    r"^no basis perturbation repairs the segment: the left endpoint lies "
+    r"on a wall of its own chamber \(degenerate input\)$"
+)
 
 
 def prod_u(mu):
@@ -146,6 +150,32 @@ class TestPerturbation:
         u = wc.from_areas(s, (10, 3, 3, 2))
         v = wc.from_areas(s, (10, 2, 2, 4))
         with pytest.raises(ValidationError):
+            wc.perturb(s, u, v)
+
+    def test_root_wall_endpoint_is_rejected_without_search(self, monkeypatch):
+        # E_1-E_2 is a root and u gives it area 0: no replacement that keeps
+        # the set of u can leave its wall, so no candidate is tried.
+        from wallcross import stability
+
+        tried = []
+        is_forward = stability.is_forward
+        monkeypatch.setattr(
+            stability, "is_forward", lambda *a: tried.append(a) or is_forward(*a)
+        )
+        s = wc.blow_up(3)
+        u = wc.from_areas(s, (10, 3, 3, 2))
+        v = wc.from_areas(s, (10, 2, 2, 4))
+        with pytest.raises(ValidationError, match=UNREPAIRABLE):
+            wc.perturb(s, u, v)
+        assert tried == []
+        # at depth 1 the root is not searched and the segment is ready as is
+        assert wc.perturb(s, u, v, n=1) is u
+
+    def test_root_wall_endpoint_on_eightfold_blowup(self):
+        s = wc.blow_up(8)
+        u = wc.from_areas(s, (24, 8, 7, 6, 5, 4, 3, 2, 2))
+        v = wc.from_areas(s, (24, 8, 7, 6, 5, 4, 3, 2, 1))
+        with pytest.raises(ValidationError, match=UNREPAIRABLE):
             wc.perturb(s, u, v)
 
 
