@@ -1,9 +1,9 @@
-"""Byte-for-byte JSON output of the command line, against committed documents.
+"""Byte-for-byte output of the command line, against committed documents.
 
-Each case runs `wallcross.cli.main(argv + ["--format", "json"])` in-process
-and compares standard output with `tests/golden/<name>.json`.  The documents
-may change only together with a deliberate `SCHEMA_VERSION` bump; rewrite
-them then with
+Each case runs `wallcross.cli.main(argv + ["--format", fmt])` in-process for
+both formats and compares standard output with `tests/golden/<name>.json`
+and `tests/golden/<name>.txt`.  The JSON documents may change only together
+with a deliberate `SCHEMA_VERSION` bump; rewrite both kinds then with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -82,19 +82,26 @@ CASES = {
 }
 
 
-def json_output(argv):
+def cli_output(argv, fmt="json"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main([*argv, "--format", "json"])
+        code = cli.main([*argv, "--format", fmt])
     assert code == 0, f"exit {code}"
     return out.getvalue().encode()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_matches_golden(name):
-    assert json_output(CASES[name]) == (GOLDEN / f"{name}.json").read_bytes()
+    assert cli_output(CASES[name]) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_output_matches_golden(name):
+    got = cli_output(CASES[name], "text")
+    assert got == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 if __name__ == "__main__":
     for name, argv in CASES.items():
-        (GOLDEN / f"{name}.json").write_bytes(json_output(argv))
+        (GOLDEN / f"{name}.json").write_bytes(cli_output(argv))
+        (GOLDEN / f"{name}.txt").write_bytes(cli_output(argv, "text"))
