@@ -123,13 +123,23 @@ def _load_json_file(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (json document, text report lines)
+# Subcommand handlers: each returns the text report lines when `text` is set,
+# else the JSON document, and builds only that one
 
 
-def _cmd_surface(ns: argparse.Namespace):
+def _cmd_surface(ns: argparse.Namespace, text: bool):
     surface = _parse_surface(ns.surface)
     k_class = surface.canonical
-    doc = {
+    if text:
+        return [
+            surface.describe(),
+            f"rank {surface.rank}, Euler characteristic "
+            f"{surface.euler_characteristic}",
+            "basis: " + ", ".join(render(surface, b) for b in surface.basis()),
+            f"canonical class {render(surface, k_class)} of square "
+            f"{surface.canonical_square}",
+        ]
+    return {
         "schema": ser.SCHEMA_VERSION,
         "surface": ser.surface_to_json(surface),
         "description": surface.describe(),
@@ -139,28 +149,20 @@ def _cmd_surface(ns: argparse.Namespace):
         "canonical": ser.class_to_json(k_class),
         "canonical_square": surface.canonical_square,
     }
-    lines = [
-        surface.describe(),
-        f"rank {surface.rank}, Euler characteristic "
-        f"{surface.euler_characteristic}",
-        "basis: " + ", ".join(render(surface, b) for b in surface.basis()),
-        f"canonical class {render(surface, k_class)} of square "
-        f"{surface.canonical_square}",
-    ]
-    return doc, lines
 
 
-def _cmd_enumerate(ns: argparse.Namespace):
+def _cmd_enumerate(ns: argparse.Namespace, text: bool):
     surface = _parse_surface(ns.surface)
     result = enumerate_candidates(surface, ns.square, _bounds_from(ns))
-    doc = ser.enumeration_to_json(result)
+    if not text:
+        return ser.enumeration_to_json(result)
     suffix = "" if result.complete else " (truncated by the coefficient box)"
     lines = [
         f"{len(result.classes)} classes of square {ns.square} on "
         f"{surface.describe()}{suffix}"
     ]
     lines.extend(f"  {render(surface, a)}" for a in result.classes)
-    return doc, lines
+    return lines
 
 
 def _set_report(s, heading: str) -> list[str]:
@@ -183,21 +185,22 @@ def _set_report(s, heading: str) -> list[str]:
     return lines
 
 
-def _cmd_sets(ns: argparse.Namespace):
+def _cmd_sets(ns: argparse.Namespace, text: bool):
     surface = _parse_surface(ns.surface)
     u = _parse_area_class(surface, ns.u)
     s = spherical_set(
         surface, u, ns.floor, _bounds_from(ns), certification=ns.tier
     )
-    doc = ser.sphere_set_to_json(s)
+    if not text:
+        return ser.sphere_set_to_json(s)
     heading = (
         f"sphere-class set for u = {render_areas(surface, u)} on "
         f"{surface.describe()}"
     )
-    return doc, _set_report(s, heading)
+    return _set_report(s, heading)
 
 
-def _cmd_diff(ns: argparse.Namespace):
+def _cmd_diff(ns: argparse.Namespace, text: bool):
     file_mode = ns.sets_a is not None or ns.sets_b is not None
     if file_mode:
         if ns.sets_a is None or ns.sets_b is None:
@@ -220,11 +223,12 @@ def _cmd_diff(ns: argparse.Namespace):
         only_a, only_b = symmetric_difference(
             surface, u, v, ns.floor, _bounds_from(ns), certification=ns.tier
         )
-    doc = {
-        "schema": ser.SCHEMA_VERSION,
-        "only_u": ser.sphere_set_to_json(only_a),
-        "only_v": ser.sphere_set_to_json(only_b),
-    }
+    if not text:
+        return {
+            "schema": ser.SCHEMA_VERSION,
+            "only_u": ser.sphere_set_to_json(only_a),
+            "only_v": ser.sphere_set_to_json(only_b),
+        }
     surface = only_a.surface
     lines = [
         f"separating classes at floor -{only_a.square_floor} on "
@@ -235,32 +239,33 @@ def _cmd_diff(ns: argparse.Namespace):
         lines.append(f"only on the {side} side: {names}")
     if not only_a.classes and not only_b.classes:
         lines.append("the sphere-class sets agree at this floor")
-    return doc, lines
+    return lines
 
 
-def _cmd_strata(ns: argparse.Namespace):
+def _cmd_strata(ns: argparse.Namespace, text: bool):
     surface = _parse_surface(ns.surface)
     u = _parse_area_class(surface, ns.u)
     bounds = _bounds_from(ns)
     if ns.v is not None:
         v = _parse_area_class(surface, ns.v)
         equal = compare_levels(surface, u, v, ns.level, bounds)
-        doc = {
-            "schema": ser.SCHEMA_VERSION,
-            "surface": ser.surface_to_json(surface),
-            "u": ser.symplectic_to_json(u),
-            "v": ser.symplectic_to_json(v),
-            "level": ns.level,
-            "equal": equal,
-        }
+        if not text:
+            return {
+                "schema": ser.SCHEMA_VERSION,
+                "surface": ser.surface_to_json(surface),
+                "u": ser.symplectic_to_json(u),
+                "v": ser.symplectic_to_json(v),
+                "level": ns.level,
+                "equal": equal,
+            }
         word = "identical" if equal else "different"
-        lines = [
+        return [
             f"stratification indexes at level {ns.level} are {word} for "
             f"u = {render_areas(surface, u)} and v = {render_areas(surface, v)}"
         ]
-        return doc, lines
     index = enumerate_admissible(surface, u, ns.level, bounds)
-    doc = ser.strata_to_json(surface, u, index)
+    if not text:
+        return ser.strata_to_json(surface, u, index)
     lines = [
         f"stratification at level {index.level} for "
         f"u = {render_areas(surface, u)} on {surface.describe()}"
@@ -274,7 +279,7 @@ def _cmd_strata(ns: argparse.Namespace):
     lines.append(
         f"residual stratum: codimension >= {index.residual_codim}"
     )
-    return doc, lines
+    return lines
 
 
 def _verdict_lines(surface: SurfaceModel, verdict) -> list[str]:
@@ -297,32 +302,34 @@ def _verdict_lines(surface: SurfaceModel, verdict) -> list[str]:
     return lines
 
 
-def _cmd_stability(ns: argparse.Namespace):
+def _cmd_stability(ns: argparse.Namespace, text: bool):
     surface = _parse_surface(ns.surface)
     u = _parse_area_class(surface, ns.u)
     v = _parse_area_class(surface, ns.v)
     verdict = max_stable_level(surface, u, v, _bounds_from(ns), ns.floor)
-    doc = {
-        "schema": ser.SCHEMA_VERSION,
-        "surface": ser.surface_to_json(surface),
-        "u": ser.symplectic_to_json(u),
-        "u_prime": ser.symplectic_to_json(v),
-        "verdict": ser.verdict_to_json(verdict),
-    }
+    if not text:
+        return {
+            "schema": ser.SCHEMA_VERSION,
+            "surface": ser.surface_to_json(surface),
+            "u": ser.symplectic_to_json(u),
+            "u_prime": ser.symplectic_to_json(v),
+            "verdict": ser.verdict_to_json(verdict),
+        }
     lines = [
         f"stability of {render_areas(surface, u)} against "
         f"{render_areas(surface, v)} on {surface.describe()}"
     ]
     lines.extend(_verdict_lines(surface, verdict))
-    return doc, lines
+    return lines
 
 
-def _cmd_certify(ns: argparse.Namespace):
+def _cmd_certify(ns: argparse.Namespace, text: bool):
     surface = _parse_surface(ns.surface)
     u = _parse_area_class(surface, ns.u)
     v = _parse_area_class(surface, ns.v)
     cert = certify(surface, u, v, _bounds_from(ns), ns.floor)
-    doc = ser.certificate_to_json(cert)
+    if not text:
+        return ser.certificate_to_json(cert)
     lines = [
         f"wall-crossing certificate for {render_areas(surface, u)} -> "
         f"{render_areas(surface, v)} on {surface.describe()}"
@@ -348,10 +355,10 @@ def _cmd_certify(ns: argparse.Namespace):
         "chain: " + (", ".join(link.relation for link in cert.chain) or "(single chamber)")
     )
     lines.extend(_verdict_lines(surface, cert.verdict))
-    return doc, lines
+    return lines
 
 
-def _cmd_capacities(ns: argparse.Namespace):
+def _cmd_capacities(ns: argparse.Namespace, text: bool):
     surface = _parse_surface(ns.surface)
     u = _parse_area_class(surface, ns.u)
     bounds = _bounds_from(ns)
@@ -366,22 +373,22 @@ def _cmd_capacities(ns: argparse.Namespace):
                 f"--balls {ns.balls} disagrees with {len(caps)} capacities"
             )
         target, u_c = blowup_class(surface, u, BallConfig(tuple(caps)), bounds)
-        doc = {
-            "schema": ser.SCHEMA_VERSION,
-            "base": ser.surface_to_json(surface),
-            "target": ser.surface_to_json(target),
-            "u": ser.symplectic_to_json(u),
-            "capacities": [ser.rational_to_json(c) for c in caps],
-            "class": ser.symplectic_to_json(u_c),
-            "areas": [ser.rational_to_json(a) for a in areas(target, u_c)],
-        }
-        lines = [
+        if not text:
+            return {
+                "schema": ser.SCHEMA_VERSION,
+                "base": ser.surface_to_json(surface),
+                "target": ser.surface_to_json(target),
+                "u": ser.symplectic_to_json(u),
+                "capacities": [ser.rational_to_json(c) for c in caps],
+                "class": ser.symplectic_to_json(u_c),
+                "areas": [ser.rational_to_json(a) for a in areas(target, u_c)],
+            }
+        return [
             f"blow-up class for {len(caps)} balls on {surface.describe()}",
             f"target surface: {target.describe()}",
             f"class areas: {render_areas(target, u_c)}",
             "forward, with every certified exceptional area positive",
         ]
-        return doc, lines
     if ns.weights is not None:
         weights = _parse_rationals(ns.weights)
         if ns.balls is not None and ns.balls != len(weights):
@@ -398,7 +405,8 @@ def _cmd_capacities(ns: argparse.Namespace):
     profile = critical_capacities(
         surface, u, BallConfig(tuple(weights), ray_mode=True), bounds
     )
-    doc = ser.profile_to_json(profile)
+    if not text:
+        return ser.profile_to_json(profile)
     target = profile.target
     weight_text = ", ".join(str(w) for w in profile.weights)
     lines = [
@@ -434,7 +442,7 @@ def _cmd_capacities(ns: argparse.Namespace):
             f"interval ({iv.lower}, {iv.upper}): {fwd}, {iv.certification}"
         )
     lines.extend(f"note: {n}" for n in profile.notes)
-    return doc, lines
+    return lines
 
 
 _HANDLERS = {
@@ -655,11 +663,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         fmt = _resolve_format(ns)
-        doc, lines = _HANDLERS[ns.command](ns)
-        if fmt == FORMAT_JSON:
-            print(ser.dumps(doc))
-        else:
-            print("\n".join(lines))
+        text = fmt == FORMAT_TEXT
+        out = _HANDLERS[ns.command](ns, text)
+        print("\n".join(out) if text else ser.dumps(out))
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

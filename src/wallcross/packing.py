@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ValidationError
@@ -47,9 +48,10 @@ from .spheres import (
     CANDIDATE_TIER,
     CERTIFIED_TIER,
     EnumerationBounds,
-    candidate_pool,
     enumerate_candidates,
+    integral_dual,
     is_certified,
+    signed_candidates,
     zero_square_candidates,
 )
 
@@ -265,13 +267,20 @@ def critical_capacities(
     uk = pairing(target, u0, target.canonical)
     u0_sq = square(target, u0)
 
+    # On one integer scale m, w0 . A = m (u_0 . A) and wd . A = m (D . A).
+    m = lcm(*(c.denominator for c in u0.coords + direction.coords))
+    w0, wd = (
+        integral_dual(target, SymplecticClass(tuple(m * c for c in x.coords)))
+        for x in (u0, direction)
+    )
+
     constraints: list[tuple[Fraction, str]] = []
     constraints.append(((-uk) / sum_w, "canonical-pairing bound"))
     for a in zero_square_candidates(target, bounds):
-        da = pairing(target, direction, a)
+        da = sum(map(mul, wd, a.coords))
         if da <= 0:
             continue
-        p0 = pairing(target, u0, a)
+        p0 = sum(map(mul, w0, a.coords))
         if p0 < 0:
             continue
         if p0 == 0:
@@ -279,7 +288,9 @@ def critical_capacities(
                 f"degenerate ray: fiber class {render(target, a)} has zero "
                 f"area already at capacity 0"
             )
-        constraints.append((p0 / da, f"fiber-class bound ({render(target, a)})"))
+        constraints.append(
+            (Fraction(p0, da), f"fiber-class bound ({render(target, a)})")
+        )
     vol = _rational_sqrt(u0_sq / sum_w2)
     if vol is not None:
         constraints.append((vol, "volume bound"))
@@ -298,21 +309,25 @@ def critical_capacities(
     flag_depth = DEFAULT_FLAG_DEPTH
     if bounds is not None and bounds.square_min is not None:
         flag_depth = max(flag_depth, -bounds.square_min)
+    # u_end = u_0 - c_max D is the far end of the ray.  A strict sign change
+    # along the ray is a class positive at one end and negative at the other,
+    # at capacity u_0.A / D.A.
+    w_end = tuple(
+        c_max.denominator * a - c_max.numerator * b for a, b in zip(w0, wd)
+    )
     walls_by_value: dict[Fraction, list[LatticeClass]] = {}
     flagged: list[FlaggedFlip] = []
-    for a in candidate_pool(target, flag_depth, bounds):
-        da = pairing(target, direction, a)
-        if da == 0:
-            continue
-        p0 = pairing(target, u0, a)
-        p_end = p0 - c_max * da
-        if not (p0 * p_end < 0):
-            continue
-        value = p0 / da
-        if is_certified(target, a):
-            walls_by_value.setdefault(value, []).append(a)
-        else:
-            flagged.append(FlaggedFlip(a, value))
+    for w_pos, w_neg in ((w0, w_end), (w_end, w0)):
+        for a in signed_candidates(target, w_pos, flag_depth, bounds, least=1)[0]:
+            if sum(map(mul, w_neg, a.coords)) >= 0:
+                continue
+            value = Fraction(
+                sum(map(mul, w0, a.coords)), sum(map(mul, wd, a.coords))
+            )
+            if is_certified(target, a):
+                walls_by_value.setdefault(value, []).append(a)
+            else:
+                flagged.append(FlaggedFlip(a, value))
     flagged.sort(key=lambda f: (f.value, f.wall_class.coords))
     critical_values = tuple(sorted(walls_by_value))
     walls = tuple(
@@ -321,10 +336,14 @@ def critical_capacities(
 
     cuts = [Fraction(0), *critical_values, c_max]
     intervals = []
+    flips = [f.value for f in flagged]  # ascending
+    i = 0
     for lo, hi in zip(cuts, cuts[1:]):
         fwd = u0_sq - hi * hi * sum_w2 >= 0
+        while i < len(flips) and flips[i] <= lo:
+            i += 1
         tier = CERTIFIED_TIER
-        if any(lo < f.value < hi for f in flagged):
+        if i < len(flips) and flips[i] < hi:
             tier = CANDIDATE_TIER
         intervals.append(CapacityInterval(lo, hi, fwd, tier))
 

@@ -40,6 +40,7 @@ from .spheres import (
     SphereClassSet,
     _sort_key,
     classify,
+    full_search_depth,
 )
 from .stability import StabilityCertificate
 from .strata import StratificationIndex
@@ -254,6 +255,18 @@ def sphere_set_from_json(doc: Any) -> SphereClassSet:
         if not isinstance(flag, bool):
             raise ValidationError(f"{key} must be true or false, got {flag!r}")
     _check_members(surface, u, floor, classes, status)
+    if full:
+        if surface.kind == BLOWUP and surface.k == 9:
+            raise ValidationError(
+                "full is true, but no depth certifies a full set on the "
+                "9-fold blow-up"
+            )
+        depth = full_search_depth(surface, u)
+        if floor < depth:
+            raise ValidationError(
+                f"full is true, but floor {floor} is below the certified "
+                f"depth {depth} of u"
+            )
     return SphereClassSet(
         surface=surface,
         u=u,

@@ -14,6 +14,25 @@ degenerates (already the square-(-2) classes form an infinite affine root
 system), so enumeration there demands an explicit coefficient box and the
 result is flagged incomplete.
 
+Per (surface, square, box) the candidates are tabulated lazily as blocks: a
+degree d from the window and the non-increasing tuples a_1 >= ... >= a_k
+solving both constraints.  Each tuple stands for its distinct permutations,
+which are built only when a query needs them and then shared by every
+later query (`_expand`).
+
+Queries against an integer weight vector w = (w_0, w_1, ..., w_k), such as
+`integral_dual(u)`, prune whole tuples before building any permutation.
+By the rearrangement inequality (Hardy, Littlewood and Polya), the largest
+value of w_0 d + sum w_i a_{pi(i)} over permutations pi pairs the tuple
+with the weights w_1..w_k sorted in decreasing order, and the smallest pairs
+it with them sorted in increasing order.  If the largest value is below the
+threshold, no permutation qualifies and the tuple is skipped; if the
+smallest reaches it, every permutation qualifies unseen.  Only tuples
+straddling the threshold have their permutations tested one by one, so a
+query costs about the size of its answer, not of the candidate pool.  On
+the product a class xB + yF is the block (x, (y,)), where both bounds are
+its exact value.
+
 Given a forward class u, the sphere-class set at depth n collects the
 candidates A with -n <= A.A <= -1 and u.A > 0.  Candidates of square >= 0
 are excluded deliberately: for A.A >= 0 the sign of u.A is the same for
@@ -26,12 +45,11 @@ blow-up.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, isqrt, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import MissingBoundsError, ValidationError
@@ -151,48 +169,45 @@ def _multisets(
             yield (v,) + rest
 
 
-def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    counts = Counter(values)
-    support = sorted(counts)
-    n = len(values)
-    slot: list[int] = []
+def _distinct_permutations(values: Sequence[int]) -> list[tuple[int, ...]]:
+    """Distinct permutations of values, in lexicographic order."""
+    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): [()]}
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(slot) == n:
-            yield tuple(slot)
-            return
-        for v in support:
-            if counts[v]:
-                counts[v] -= 1
-                slot.append(v)
-                yield from rec()
-                slot.pop()
-                counts[v] += 1
+    def rec(vals: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # vals is sorted, so each distinct leading value is taken once, in
+        # increasing order; sub-multisets recur and are built once.
+        got = memo.get(vals)
+        if got is None:
+            got = []
+            for i, v in enumerate(vals):
+                if i == 0 or v != vals[i - 1]:
+                    got.extend([(v,) + p for p in rec(vals[:i] + vals[i + 1:])])
+            memo[vals] = got
+        return got
 
-    yield from rec()
+    return rec(tuple(sorted(values)))
 
 
-def _product_candidates(
-    s: int, box: Optional[int]
-) -> tuple[tuple[LatticeClass, ...], bool]:
+Blocks = tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+_by_coords = attrgetter("coords")
+
+
+def _product_table(s: int, box: Optional[int]) -> tuple[Blocks, bool]:
     # A = xB + yF solves adjunction iff (x-1)(y-1) = 0, with square 2xy.
     if s % 2 != 0:
         return (), True
     m = s // 2
-    raw = {(1, m), (m, 1)}
-    classes = []
+    blocks = []
     complete = True
-    for x, y in sorted(raw):
+    for x, y in sorted({(1, m), (m, 1)}):
         if box is not None and (abs(x) > box or abs(y) > box):
             complete = False
             continue
-        classes.append(LatticeClass((x, y)))
-    return tuple(classes), complete
+        blocks.append((x, ((y,),)))
+    return tuple(blocks), complete
 
 
-def _blowup_candidates(
-    k: int, s: int, box: Optional[int]
-) -> tuple[tuple[LatticeClass, ...], bool]:
+def _blowup_table(k: int, s: int, box: Optional[int]) -> tuple[Blocks, bool]:
     if k == 9 and box is None:
         raise MissingBoundsError(
             "enumeration on the 9-fold blow-up is infinite; "
@@ -221,7 +236,7 @@ def _blowup_candidates(
                 complete = False
             d_range = range(max(lo, -box), min(hi, box) + 1)
     vmin = -box if box is not None else None
-    out: list[LatticeClass] = []
+    blocks = []
     for d in d_range:
         if k != 9:
             if (9 - k) * d * d - 6 * (s + 2) * d + (s + 2) ** 2 + k * s > 0:
@@ -233,20 +248,49 @@ def _blowup_candidates(
         vmax = isqrt(q)
         if box is not None:
             vmax = min(vmax, box)
-        for mult in _multisets(sigma, q, k, vmax, vmin):
-            for tail in _distinct_permutations(mult):
-                out.append(LatticeClass((d,) + tail))
-    return tuple(sorted(set(out))), complete
+        tails = tuple(_multisets(sigma, q, k, vmax, vmin))
+        if tails:
+            blocks.append((d, tails))
+    return tuple(blocks), complete
+
+
+@lru_cache(maxsize=None)
+def _table(
+    surface: SurfaceModel, s: int, box: Optional[int]
+) -> tuple[Blocks, bool]:
+    """Candidates of square s as blocks (d, tails), d ascending.
+
+    The candidates of a block are the classes (d; p) for p a distinct
+    permutation of one of its non-increasing tails; on the product a class
+    xB + yF is the block (x, ((y,),)).  Built on first use, never at import.
+    """
+    if surface.kind == PRODUCT:
+        return _product_table(s, box)
+    return _blowup_table(surface.k, s, box)
+
+
+@lru_cache(maxsize=None)
+def _expand(d: int, tail: tuple[int, ...]) -> tuple[LatticeClass, ...]:
+    """The classes (d; p), p a distinct permutation of tail, in coordinate order.
+
+    Every enumeration path reads its classes from here, so a class is built
+    once and shared by all the queries that touch it.
+    """
+    return tuple(LatticeClass((d,) + p) for p in _distinct_permutations(tail))
+
+
+def _box(bounds: Optional[EnumerationBounds]) -> Optional[int]:
+    return bounds.coefficient_box if bounds is not None else None
 
 
 @lru_cache(maxsize=None)
 def _candidates(
-    surface: SurfaceModel, s: int, bounds: Optional[EnumerationBounds]
+    surface: SurfaceModel, s: int, box: Optional[int]
 ) -> tuple[tuple[LatticeClass, ...], bool]:
-    box = bounds.coefficient_box if bounds is not None else None
-    if surface.kind == PRODUCT:
-        return _product_candidates(s, box)
-    return _blowup_candidates(surface.k, s, box)
+    blocks, complete = _table(surface, s, box)
+    classes = [a for d, tails in blocks for t in tails for a in _expand(d, t)]
+    classes.sort(key=_by_coords)
+    return tuple(classes), complete
 
 
 def enumerate_candidates(
@@ -257,38 +301,63 @@ def enumerate_candidates(
         raise ValidationError(
             f"candidate enumeration is restricted to negative squares, got {s}"
         )
-    classes, complete = _candidates(surface, s, bounds)
+    classes, complete = _candidates(surface, s, _box(bounds))
     return EnumerationResult(surface, s, classes, complete)
-
-
-@lru_cache(maxsize=None)
-def _negative_candidates(
-    surface: SurfaceModel, depth: int, bounds: Optional[EnumerationBounds]
-) -> tuple[tuple[LatticeClass, ...], bool]:
-    """Candidates with -depth <= A.A <= -1, pooled over squares.
-
-    The pool is ordered by square descending, then by coordinates: the
-    member order of a sphere-class set, which therefore needs no sort.
-    """
-    pool: list[LatticeClass] = []
-    complete = True
-    for s in range(-1, -depth - 1, -1):
-        classes, ok = _candidates(surface, s, bounds)
-        pool.extend(classes)
-        complete = complete and ok
-    return tuple(pool), complete
-
-
-# ---------------------------------------------------------------------------
-# Finiteness depth
 
 
 def candidate_pool(
     surface: SurfaceModel, depth: int, bounds: Optional[EnumerationBounds] = None
 ) -> tuple[LatticeClass, ...]:
-    """All candidates with square in [-depth, -1], independent of any u."""
-    pool, _ = _negative_candidates(surface, depth, bounds)
-    return pool
+    """All candidates with square in [-depth, -1], independent of any u.
+
+    The pool is ordered by square descending, then by coordinates: the
+    member order of a sphere-class set.
+    """
+    box = _box(bounds)
+    return tuple(
+        a for s in range(-1, -depth - 1, -1) for a in _candidates(surface, s, box)[0]
+    )
+
+
+def signed_candidates(
+    surface: SurfaceModel,
+    w: Sequence[int],
+    depth: int,
+    bounds: Optional[EnumerationBounds] = None,
+    least: int = 0,
+) -> tuple[tuple[LatticeClass, ...], bool]:
+    """Candidates with square in [-depth, -1] and w . A >= least, in set order.
+
+    w is an integer weight vector such as `integral_dual`; the flag is False
+    when a coefficient box may have truncated some square.  Whole multisets
+    are kept or dropped by the rearrangement bounds of the module notes, so
+    only the permutations of multisets that straddle `least` are tested.
+    """
+    box = _box(bounds)
+    w0 = w[0]
+    down = sorted(w[1:], reverse=True)
+    up = down[::-1]
+    members: list[LatticeClass] = []
+    complete = True
+    for s in range(-1, -depth - 1, -1):
+        blocks, ok = _table(surface, s, box)
+        complete = complete and ok
+        part: list[LatticeClass] = []
+        for d, tails in blocks:
+            base = w0 * d
+            for t in tails:
+                if base + sum(map(mul, t, down)) < least:
+                    continue
+                classes = _expand(d, t)
+                if base + sum(map(mul, t, up)) >= least:
+                    part.extend(classes)
+                else:
+                    part.extend(
+                        a for a in classes if sum(map(mul, w, a.coords)) >= least
+                    )
+        part.sort(key=_by_coords)
+        members.extend(part)
+    return tuple(members), complete
 
 
 def zero_square_candidates(
@@ -300,8 +369,12 @@ def zero_square_candidates(
     forward cone, so they never enter sphere-class sets; they matter as
     cone-boundary markers, e.g. when a capacity ray exits the cone.
     """
-    classes, _ = _candidates(surface, 0, bounds)
+    classes, _ = _candidates(surface, 0, _box(bounds))
     return classes
+
+
+# ---------------------------------------------------------------------------
+# Finiteness depth
 
 
 def full_search_depth(surface: SurfaceModel, u: SymplecticClass) -> int:
@@ -465,9 +538,8 @@ def spherical_set(
         raise ValidationError(f"unknown certification tier {certification!r}")
     validate_forward(surface, u)
     depth, full = _resolve_depth(surface, (u,), n, bounds)
-    pool, complete = _negative_candidates(surface, depth, bounds)
     w = integral_dual(surface, u)
-    members = [a for a in pool if sum(map(mul, w, a.coords)) > 0]
+    members, complete = signed_candidates(surface, w, depth, bounds, least=1)
     status: tuple[tuple[LatticeClass, str], ...] = ()
     if certification == CERTIFIED_TIER:
         status = tuple((a, classify(surface, a)) for a in members)
@@ -475,7 +547,7 @@ def spherical_set(
         surface=surface,
         u=u,
         square_floor=depth,
-        classes=tuple(members),
+        classes=members,
         certification=certification,
         status=status,
         full=full,

@@ -47,11 +47,10 @@ from .spheres import (
     CERTIFIED_TIER,
     EnumerationBounds,
     _resolve_depth,
-    candidate_pool,
-    enumerate_candidates,
     integral_dual,
     is_certified,
     set_difference,
+    signed_candidates,
     spherical_set,
     symmetric_difference,
 )
@@ -283,10 +282,11 @@ def segment_walls(
     only_u, only_v = symmetric_difference(surface, u, v, n, bounds)
     depth = only_u.square_floor
     # A class on the walls of both endpoints belongs to neither set, so the
-    # degeneracy scan must run over the whole pool, not just the members.
+    # degeneracy scan runs over every candidate with u.A >= 0, not just the
+    # members.
     wu = integral_dual(surface, u)
     wv = integral_dual(surface, v)
-    for a in candidate_pool(surface, depth, bounds):
+    for a in signed_candidates(surface, wu, depth, bounds)[0]:
         if (
             sum(map(mul, wu, a.coords)) == 0
             and sum(map(mul, wv, a.coords)) == 0
@@ -363,8 +363,8 @@ def _perturb_detail(
     depth, _ = _resolve_depth(surface, (u, v), n, bounds)
     wu = integral_dual(surface, u)
     if depth >= 2 and any(
-        sum(map(mul, wu, r.coords)) == 0
-        for r in enumerate_candidates(surface, -2, bounds).classes
+        sum(map(mul, wu, r.coords)) == 0 and square(surface, r) == -2
+        for r in signed_candidates(surface, wu, 2, bounds)[0]
     ):
         raise ValidationError(_NO_PERTURBATION)
     basis = surface.basis()

@@ -18,6 +18,7 @@ infinite families of labels that cannot change any codimension count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ValidationError
@@ -31,7 +32,7 @@ from .lattice import (
     render,
     square,
 )
-from .spheres import EnumerationBounds, _sort_key, spherical_set
+from .spheres import EnumerationBounds, _sort_key, integral_dual, spherical_set
 
 
 @dataclass(frozen=True)
@@ -124,28 +125,52 @@ def enumerate_admissible(
         if square(surface, a) <= -2 and cod(surface, a) < level
     ]
     weights = [cod(surface, a) for a in pool]
-    found: list[AdmissibleSet] = []
-    chosen: list[int] = []
+    # The pool is in set order, so weights never decrease along it.  fits[i]
+    # holds the later members pairing nonnegatively with pool[i]; a pair too
+    # heavy to share a label is not tested.
+    duals = [integral_dual(surface, a) for a in pool]
+    fits = [
+        {
+            j
+            for j in range(i + 1, len(pool))
+            if weights[i] + weights[j] < level
+            and sum(map(mul, duals[i], pool[j].coords)) >= 0
+        }
+        for i in range(len(pool))
+    ]
+    # Labels sort by codimension, then by their members' coordinates; the
+    # rank of a member in coordinate order stands in for its coordinates.
+    by_coords = sorted(range(len(pool)), key=lambda i: pool[i].coords)
+    rank = [0] * len(pool)
+    for r, i in enumerate(by_coords):
+        rank[i] = r
+    found: list[tuple[int, tuple[int, ...]]] = []
+    ranks: list[int] = []  # members of the label being extended
 
-    def dfs(start: int, total: int) -> None:
-        found.append(
-            AdmissibleSet(
-                surface, tuple(pool[i] for i in chosen), total
-            )
-        )
-        for i in range(start, len(pool)):
+    def dfs(options: Sequence[int], total: int) -> None:
+        found.append((total, tuple(ranks)))
+        for pos, i in enumerate(options):
             w = total + weights[i]
             if w >= level:
-                continue
-            if any(pairing(surface, pool[j], pool[i]) < 0 for j in chosen):
-                continue
-            chosen.append(i)
-            dfs(i + 1, w)
-            chosen.pop()
+                break
+            rest: Sequence[int] = ()
+            if w + weights[i] < level:  # later options weigh at least as much
+                rest = [
+                    j
+                    for j in options[pos + 1:]
+                    if j in fits[i] and w + weights[j] < level
+                ]
+            ranks.append(rank[i])
+            dfs(rest, w)
+            ranks.pop()
 
-    dfs(0, 0)
-    found.sort(key=lambda st: (st.codim, tuple(a.coords for a in st.classes)))
-    return StratificationIndex(level=level, strata=tuple(found), residual_codim=level)
+    dfs(range(len(pool)), 0)
+    found.sort()
+    strata = tuple(
+        AdmissibleSet(surface, tuple(pool[by_coords[r]] for r in label), codim)
+        for codim, label in found
+    )
+    return StratificationIndex(level=level, strata=strata, residual_codim=level)
 
 
 def compare_levels(

@@ -42,7 +42,8 @@ def _check(n: int, desc: str, fn) -> None:
 def test_criterion_1_exceptional_counts():
     def body():
         spheres._candidates.cache_clear()
-        spheres._negative_candidates.cache_clear()
+        spheres._table.cache_clear()
+        spheres._expand.cache_clear()
         for k in range(1, 8):
             got = wc.enumerate_candidates(wc.blow_up(k), -1).classes
             assert len(got) == CLASSICAL_EXCEPTIONAL_COUNTS[k], k

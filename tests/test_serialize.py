@@ -271,3 +271,29 @@ def test_sphere_set_rejects_impossible_members(tamper, message):
         del bare["status"]
         with pytest.raises(ValidationError, match=re.escape(message)):
             sphere_set_from_json(bare)
+
+
+def test_sphere_set_full_flag_needs_the_certified_depth():
+    s = wc.blow_up(3)
+    u = wc.from_areas(s, (10, 4, 3, 2))
+    assert wc.full_search_depth(s, u) == 2
+    cut = sphere_set_to_json(wc.spherical_set(s, u, 1))
+    assert cut["full"] is False
+    sphere_set_from_json(cut)
+    with pytest.raises(
+        ValidationError, match="floor 1 is below the certified depth 2"
+    ):
+        sphere_set_from_json(dict(cut, full=True))
+    deep = sphere_set_to_json(wc.spherical_set(s, u, 2))
+    assert sphere_set_from_json(deep).full is True
+
+
+def test_sphere_set_is_never_full_on_the_nine_fold_blowup():
+    s = wc.blow_up(9)
+    u = wc.from_areas(s, (10, 3, 3, 2, 1, 1, 1, 1, 1, 1))
+    bounds = wc.EnumerationBounds(coefficient_box=2)
+    doc = sphere_set_to_json(wc.spherical_set(s, u, 2, bounds))
+    assert doc["full"] is False
+    sphere_set_from_json(doc)
+    with pytest.raises(ValidationError, match="9-fold blow-up"):
+        sphere_set_from_json(dict(doc, full=True))
