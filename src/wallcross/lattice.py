@@ -6,7 +6,9 @@ with B.B = F.F = 0, B.F = 1) and the plane blown up in k points, 0 <= k <= 9
 downstream — sphere-class enumeration, wall crossings, stability verdicts —
 reduces to sign computations in these lattices, so all arithmetic here is
 exact: integer coordinates for homology classes, `fractions.Fraction` for
-symplectic (area) classes.  No floats anywhere.
+symplectic (area) classes.  No floats anywhere.  A symplectic class is
+cleared of denominators once (`integral_dual`), and the kernel's sign
+tests and reduction moves run in integers on that scaled area vector.
 
 Conventions.  A class is a coordinate vector in the basis above.  For blow-ups
 the familiar curve notation dH - m_1 E_1 - ... corresponds to coordinates
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ValidationError
@@ -151,8 +153,39 @@ def from_areas(surface: SurfaceModel, areas: Sequence[Coord]) -> SymplecticClass
 
 def areas(surface: SurfaceModel, u: ClassLike) -> tuple[Fraction, ...]:
     """Area vector of u: pairings with the standard basis classes."""
-    _check_rank(surface, u)
-    return tuple(Fraction(pairing(surface, u, e)) for e in surface.basis())
+    w, den = integral_dual(surface, u)
+    return tuple(Fraction(c, den) for c in w)
+
+
+def integral_dual(surface: SurfaceModel, x: ClassLike) -> tuple[tuple[int, ...], int]:
+    """The area vector of x cleared of denominators: (w, L), w = L areas(x).
+
+    L > 0 is the lcm of the denominators of x's int or Fraction coordinates:
+    w is L (x_0, -x_1, ..., -x_k) on blow-ups, L (x_1, x_0) on the product.
+    Areas are pairings with the basis, so w . A = L (x.A) for every integral
+    class A: a plain dot product with w has the sign of the exact pairing.
+    """
+    cs = _coords(x)
+    _check_rank(surface, cs)
+    den = 1
+    for i, c in enumerate(cs):
+        if not isinstance(c, (int, Fraction)):
+            raise ValidationError(
+                f"coordinate {i} of the class is {c!r} ({type(c).__name__}); "
+                f"coordinates must be integers or fractions"
+            )
+        den = lcm(den, c.denominator)
+    s = [c.numerator * (den // c.denominator) for c in cs]
+    if surface.kind == PRODUCT:
+        return (s[1], s[0]), den
+    return (s[0],) + tuple(-c for c in s[1:]), den
+
+
+def scaled_invariants(surface: SurfaceModel, w: Sequence[int]) -> tuple[int, int]:
+    """(L^2 u.u, L u.K) from the scaled area vector w = L areas(u)."""
+    if surface.kind == PRODUCT:
+        return 2 * w[0] * w[1], -2 * (w[0] + w[1])
+    return w[0] * w[0] - sum(c * c for c in w[1:]), sum(w[1:]) - 3 * w[0]
 
 
 def pairing(surface: SurfaceModel, a: ClassLike, b: ClassLike):
@@ -196,24 +229,16 @@ def cod(surface: SurfaceModel, a: LatticeClass) -> int:
 
 
 def is_forward(surface: SurfaceModel, u: SymplecticClass) -> bool:
-    return (
-        square(surface, u) > 0
-        and pairing(surface, u, surface.canonical) < 0
-    )
+    uu, uk = scaled_invariants(surface, integral_dual(surface, u)[0])
+    return uu > 0 and uk < 0
 
 
 def validate_forward(surface: SurfaceModel, u: SymplecticClass) -> None:
-    _check_rank(surface, u)
-    if square(surface, u) <= 0:
-        raise ValidationError(
-            f"class {render(surface, u)} is not forward: square "
-            f"{square(surface, u)} <= 0"
-        )
-    if pairing(surface, u, surface.canonical) >= 0:
-        raise ValidationError(
-            f"class {render(surface, u)} is not forward: pairing with the "
-            f"canonical class is >= 0"
-        )
+    if not is_forward(surface, u):
+        sq = square(surface, u)
+        why = (f"square {sq} <= 0" if sq <= 0
+               else "pairing with the canonical class is >= 0")
+        raise ValidationError(f"class {render(surface, u)} is not forward: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +314,11 @@ def invert_word(word: Iterable[WeylMove]) -> WeylWord:
 
 
 def is_reduced(surface: SurfaceModel, u: SymplecticClass) -> bool:
-    a = areas(surface, u)
+    a = integral_dual(surface, u)[0]
     if surface.kind == PRODUCT:
         return a[0] >= a[1]
-    nu, cs = a[0], list(a[1:])
-    if any(cs[i] < cs[i + 1] for i in range(len(cs) - 1)):
-        return False
-    if cs and cs[-1] < 0:
-        return False
-    padded = cs + [Fraction(0)] * (3 - len(cs))
-    return nu >= padded[0] + padded[1] + padded[2]
+    cs = a[1:] + (0,)  # non-increasing down to an appended 0: all areas >= 0
+    return all(x >= y for x, y in zip(cs, cs[1:])) and a[0] >= sum(cs[:3])
 
 
 def reduce(surface: SurfaceModel, u: SymplecticClass) -> tuple[SymplecticClass, WeylWord]:
@@ -306,59 +326,58 @@ def reduce(surface: SurfaceModel, u: SymplecticClass) -> tuple[SymplecticClass, 
 
     Reduced means: blow-up areas sorted non-increasing, nonnegative, and
     nu >= c_1 + c_2 + c_3 (zero-padded below three indices); on the product,
-    B-area >= F-area.  Each Cremona step strictly decreases nu, so the loop
-    terminates after at most nu times its cleared denominator many steps.
+    B-area >= F-area.  Moves act on the integer areas of `integral_dual`: a
+    swap exchanges two, Cremona(1, 2, 3) adds delta = nu - c_1 - c_2 - c_3
+    < 0 to nu, c_1, c_2, c_3, so the loop ends (nu stays a positive integer).
     Classes in chambers the Weyl group cannot reach (some blow-up area forced
     negative) are rejected.
     """
     validate_forward(surface, u)
+    a, den = integral_dual(surface, u)
+    a = list(a)
     word: list[WeylMove] = []
+
+    def current() -> SymplecticClass:
+        return from_areas(surface, [Fraction(c, den) for c in a]) if word else u
+
     if surface.kind == PRODUCT:
-        b_area, f_area = areas(surface, u)
-        if b_area < f_area:
-            move = WeylMove("swap")
-            u = apply_move(surface, move, u)
-            word.append(move)
-        return u, tuple(word)
+        if a[0] < a[1]:
+            a.reverse()
+            word.append(WeylMove("swap"))
+        return current(), tuple(word)
 
     k = surface.k
-    current = u
+    swaps = [WeylMove("swap", (i, i + 1)) for i in range(1, k)]
+    cremona = WeylMove("cremona", (1, 2, 3))
     while True:
         # Sort blow-up areas descending with recorded adjacent swaps.
         changed = True
         while changed:
             changed = False
-            a = areas(surface, current)
             for i in range(1, k):
                 if a[i] < a[i + 1]:
-                    move = WeylMove("swap", (i, i + 1))
-                    current = apply_move(surface, move, current)
-                    word.append(move)
-                    a = areas(surface, current)
+                    a[i], a[i + 1] = a[i + 1], a[i]
+                    word.append(swaps[i - 1])
                     changed = True
-        a = areas(surface, current)
-        nu, cs = a[0], list(a[1:])
-        padded = cs + [Fraction(0)] * (3 - len(cs))
-        top = padded[0] + padded[1] + padded[2]
-        if nu >= top:
+        delta = a[0] - sum(a[1:4])
+        if delta >= 0:
             break
         if k < 3:
             raise ValidationError(
-                f"class {render(surface, current)} cannot be reduced: "
+                f"class {render(surface, current())} cannot be reduced: "
                 f"nu < c_1 + c_2 + c_3 but fewer than three blow-up indices "
                 f"exist, so no Cremona move is available"
             )
-        move = WeylMove("cremona", (1, 2, 3))
-        current = apply_move(surface, move, current)
-        word.append(move)
-    a = areas(surface, current)
+        for i in range(4):
+            a[i] += delta
+        word.append(cremona)
     if any(c < 0 for c in a[1:]):
         raise ValidationError(
             f"class {render(surface, u)} lies outside the standard symplectic "
             f"cone: reduction ends with a negative blow-up area "
-            f"({render_areas(surface, current)})"
+            f"({render_areas(surface, current())})"
         )
-    return current, tuple(word)
+    return current(), tuple(word)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,10 @@ from .lattice import (
     areas,
     blow_up,
     from_areas,
+    integral_dual,
     pairing,
     render,
+    scaled_invariants,
     square,
     validate_forward,
 )
@@ -49,7 +51,6 @@ from .spheres import (
     CERTIFIED_TIER,
     EnumerationBounds,
     enumerate_candidates,
-    integral_dual,
     is_certified,
     signed_candidates,
     zero_square_candidates,
@@ -196,22 +197,18 @@ def blowup_class(
         u_c = from_areas(target, new_areas)
     else:
         u_c = from_areas(target, areas(base, u) + caps)
-    if square(target, u_c) <= 0:
-        raise ValidationError(
-            f"capacities too large: the blow-up class has square "
-            f"{square(target, u_c)} <= 0"
-        )
-    if pairing(target, u_c, target.canonical) >= 0:
-        raise ValidationError(
-            "capacities too large: the blow-up class pairs nonnegatively "
-            "with the canonical class"
-        )
+    w = integral_dual(target, u_c)[0]
+    uu, uk = scaled_invariants(target, w)
+    if uu <= 0 or uk >= 0:
+        why = (f"has square {square(target, u_c)} <= 0" if uu <= 0
+               else "pairs nonnegatively with the canonical class")
+        raise ValidationError(f"capacities too large: the blow-up class {why}")
     if target.k == 9 and (bounds is None or bounds.coefficient_box is None):
         return target, u_c
     for a in enumerate_candidates(target, -1, bounds).classes:
         if not is_certified(target, a):
             continue
-        if pairing(target, u_c, a) <= 0:
+        if sum(map(mul, w, a.coords)) <= 0:
             raise ValidationError(
                 f"capacities too large: exceptional class "
                 f"{render(target, a)} has area "
@@ -270,7 +267,7 @@ def critical_capacities(
     # On one integer scale m, w0 . A = m (u_0 . A) and wd . A = m (D . A).
     m = lcm(*(c.denominator for c in u0.coords + direction.coords))
     w0, wd = (
-        integral_dual(target, SymplecticClass(tuple(m * c for c in x.coords)))
+        integral_dual(target, SymplecticClass(tuple(m * c for c in x.coords)))[0]
         for x in (u0, direction)
     )
 

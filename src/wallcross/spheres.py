@@ -46,9 +46,8 @@ blow-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isqrt, lcm
+from math import isqrt
 from operator import attrgetter, mul
 from typing import Iterator, Optional, Sequence
 
@@ -60,8 +59,9 @@ from .lattice import (
     SurfaceModel,
     SymplecticClass,
     adjunction_defect,
+    integral_dual,
     is_root,
-    pairing,
+    scaled_invariants,
     square,
     validate_forward,
 )
@@ -392,7 +392,8 @@ def full_search_depth(surface: SurfaceModel, u: SymplecticClass) -> int:
     caps the achievable squares, and n = max(2, x0 - 1) is a sound depth.
     The cap is tight: there are inputs where a candidate of square -(x0 - 1)
     pairs positively while the extremal class of square -x0 has pairing
-    exactly zero.
+    exactly zero.  beta has degree 0 in u, so the test runs on the integer
+    u of `integral_dual` as u.u (x^2 + 4) >= (4 u.u + (u.K)^2 - u.u K.K) x.
 
     On the 9-fold blow-up per-square counts are already infinite, so no
     depth makes the full set computable and the caller must truncate
@@ -404,12 +405,10 @@ def full_search_depth(surface: SurfaceModel, u: SymplecticClass) -> int:
             "the 9-fold blow-up has no finite full sphere-class set; "
             "supply bounds.square_min (and a coefficient box)"
         )
-    k_class = surface.canonical
-    uu = square(surface, u)
-    uk = pairing(surface, u, k_class)
-    beta = Fraction(uk * uk - uu * surface.canonical_square, uu)
-    x = max(3, ceil(Fraction(4 + beta, 2)))
-    while x * x - (4 + beta) * x + 4 < 0:
+    uu, uk = scaled_invariants(surface, integral_dual(surface, u)[0])
+    b = 4 * uu + uk * uk - uu * surface.canonical_square
+    x = max(3, -(-b // (2 * uu)))
+    while uu * (x * x + 4) < b * x:
         x += 1
     return max(2, x - 1)
 
@@ -472,24 +471,6 @@ def is_certified(surface: SurfaceModel, a: LatticeClass) -> bool:
 # Sphere-class sets
 
 
-def integral_dual(surface: SurfaceModel, u: SymplecticClass) -> tuple[int, ...]:
-    """Integer vector w with w . A = L (u.A) for every integral class A.
-
-    L > 0 is the lcm of the denominators of u's coordinates, and the metric
-    is twisted into the coordinates: (x_0, -x_1, ..., -x_k) on blow-ups,
-    (x_1, x_0) on the product.  The plain dot product with w therefore has
-    the sign of the exact pairing with u, so filtering a candidate pool needs
-    integer arithmetic only.  The caller checks u's rank.
-    """
-    den = 1
-    for c in u.coords:
-        den = lcm(den, c.denominator)
-    x = [c.numerator * (den // c.denominator) for c in u.coords]
-    if surface.kind == PRODUCT:
-        return (x[1], x[0])
-    return (x[0],) + tuple(-c for c in x[1:])
-
-
 def _sort_key(surface: SurfaceModel):
     def key(a: LatticeClass):
         return (-square(surface, a), a.coords)
@@ -538,7 +519,7 @@ def spherical_set(
         raise ValidationError(f"unknown certification tier {certification!r}")
     validate_forward(surface, u)
     depth, full = _resolve_depth(surface, (u,), n, bounds)
-    w = integral_dual(surface, u)
+    w = integral_dual(surface, u)[0]
     members, complete = signed_candidates(surface, w, depth, bounds, least=1)
     status: tuple[tuple[LatticeClass, str], ...] = ()
     if certification == CERTIFIED_TIER:

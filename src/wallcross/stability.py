@@ -35,6 +35,7 @@ from .lattice import (
     LatticeClass,
     SurfaceModel,
     SymplecticClass,
+    integral_dual,
     is_forward,
     pairing,
     primitive_signed,
@@ -47,7 +48,6 @@ from .spheres import (
     CERTIFIED_TIER,
     EnumerationBounds,
     _resolve_depth,
-    integral_dual,
     is_certified,
     set_difference,
     signed_candidates,
@@ -284,8 +284,8 @@ def segment_walls(
     # A class on the walls of both endpoints belongs to neither set, so the
     # degeneracy scan runs over every candidate with u.A >= 0, not just the
     # members.
-    wu = integral_dual(surface, u)
-    wv = integral_dual(surface, v)
+    wu = integral_dual(surface, u)[0]
+    wv = integral_dual(surface, v)[0]
     for a in signed_candidates(surface, wu, depth, bounds)[0]:
         if (
             sum(map(mul, wu, a.coords)) == 0
@@ -361,7 +361,7 @@ def _perturb_detail(
     # set(u) lies on that wall as well, and the wall meets its segment to v
     # at t* = 0 or contains it: no basis direction can succeed.
     depth, _ = _resolve_depth(surface, (u, v), n, bounds)
-    wu = integral_dual(surface, u)
+    wu = integral_dual(surface, u)[0]
     if depth >= 2 and any(
         sum(map(mul, wu, r.coords)) == 0 and square(surface, r) == -2
         for r in signed_candidates(surface, wu, 2, bounds)[0]

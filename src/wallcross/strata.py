@@ -28,11 +28,12 @@ from .lattice import (
     SymplecticClass,
     adjunction_defect,
     cod,
+    integral_dual,
     pairing,
     render,
     square,
 )
-from .spheres import EnumerationBounds, _sort_key, integral_dual, spherical_set
+from .spheres import EnumerationBounds, _sort_key, spherical_set
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def enumerate_admissible(
     # The pool is in set order, so weights never decrease along it.  fits[i]
     # holds the later members pairing nonnegatively with pool[i]; a pair too
     # heavy to share a label is not tested.
-    duals = [integral_dual(surface, a) for a in pool]
+    duals = [integral_dual(surface, a)[0] for a in pool]
     fits = [
         {
             j

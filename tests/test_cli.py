@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wallcross
 from wallcross import cli
 
 
@@ -234,3 +239,21 @@ def test_config_file_must_be_json_object(capsys, tmp_path):
     )
     assert code == 2
     assert "JSON object" in err
+
+
+def test_a_surface_request_tabulates_no_sphere_classes():
+    # Every CLI request pays its process start: importing the CLI and
+    # describing a surface must leave the enumeration caches empty.
+    code = (
+        "from wallcross import cli, spheres\n"
+        "assert cli.main(['surface', '--surface', 'blowup:8', '--format', 'json']) == 0\n"
+        "print(spheres._table.cache_info().currsize, "
+        "spheres._expand.cache_info().currsize)\n"
+    )
+    src = str(Path(wallcross.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 0"

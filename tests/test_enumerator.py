@@ -116,7 +116,7 @@ def test_nine_fold_blowup_without_a_box_keeps_its_error():
         wc.spherical_set(s, u, 2)
     assert str(exc.value) == message
     with pytest.raises(MissingBoundsError) as exc:
-        spheres.signed_candidates(s, spheres.integral_dual(s, u), 2)
+        spheres.signed_candidates(s, wc.lattice.integral_dual(s, u)[0], 2)
     assert str(exc.value) == message
 
 
@@ -124,7 +124,7 @@ def test_signed_candidates_keeps_the_nonnegative_classes():
     rng = random.Random(8104)
     for surface, depth in surfaces_and_depths():
         u = random_forward(rng, surface)
-        w = spheres.integral_dual(surface, u)
+        w = wc.lattice.integral_dual(surface, u)[0]
         for least in (0, 1):
             got, _ = spheres.signed_candidates(surface, w, depth, least=least)
             # w . A = L (u . A) with L > 0, so w . A >= 1 iff u . A > 0
