@@ -227,13 +227,12 @@ def test_reduce_keeps_the_input_object_when_no_move_is_needed():
 
 
 def random_word(rng, surface, length):
-    k = surface.k
+    indices = range(1, surface.k + 1)
     word = []
     for _ in range(length):
-        if k >= 3 and rng.random() < 0.5:
-            word.append(wc.WeylMove("cremona", tuple(sorted(rng.sample(range(1, k + 1), 3)))))
-        else:
-            word.append(wc.WeylMove("swap", tuple(sorted(rng.sample(range(1, k + 1), 2)))))
+        cremona = surface.k >= 3 and rng.random() < 0.5
+        picked = tuple(sorted(rng.sample(indices, 3 if cremona else 2)))
+        word.append(wc.WeylMove("cremona" if cremona else "swap", picked))
     return word
 
 
