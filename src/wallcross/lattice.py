@@ -233,12 +233,19 @@ def is_forward(surface: SurfaceModel, u: SymplecticClass) -> bool:
     return uu > 0 and uk < 0
 
 
-def validate_forward(surface: SurfaceModel, u: SymplecticClass) -> None:
-    if not is_forward(surface, u):
-        sq = square(surface, u)
-        why = (f"square {sq} <= 0" if sq <= 0
+def forward_dual(surface: SurfaceModel, u: SymplecticClass) -> tuple[tuple[int, ...], int]:
+    """`integral_dual` of u, after checking that u is forward."""
+    w, den = integral_dual(surface, u)
+    uu, uk = scaled_invariants(surface, w)
+    if uu <= 0 or uk >= 0:
+        why = (f"square {square(surface, u)} <= 0" if uu <= 0
                else "pairing with the canonical class is >= 0")
         raise ValidationError(f"class {render(surface, u)} is not forward: {why}")
+    return w, den
+
+
+def validate_forward(surface: SurfaceModel, u: SymplecticClass) -> None:
+    forward_dual(surface, u)
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,10 @@ from .lattice import (
     SurfaceModel,
     SymplecticClass,
     adjunction_defect,
-    integral_dual,
+    forward_dual,
     is_root,
     scaled_invariants,
     square,
-    validate_forward,
 )
 
 CANDIDATE_TIER = "candidate"
@@ -399,13 +398,17 @@ def full_search_depth(surface: SurfaceModel, u: SymplecticClass) -> int:
     depth makes the full set computable and the caller must truncate
     explicitly.
     """
-    validate_forward(surface, u)
+    return _certified_depth(surface, forward_dual(surface, u)[0])
+
+
+def _certified_depth(surface: SurfaceModel, w: Sequence[int]) -> int:
+    """`full_search_depth` of the forward class with scaled area vector w."""
     if surface.kind == BLOWUP and surface.k == 9:
         raise MissingBoundsError(
             "the 9-fold blow-up has no finite full sphere-class set; "
             "supply bounds.square_min (and a coefficient box)"
         )
-    uu, uk = scaled_invariants(surface, integral_dual(surface, u)[0])
+    uu, uk = scaled_invariants(surface, w)
     b = 4 * uu + uk * uk - uu * surface.canonical_square
     x = max(3, -(-b // (2 * uu)))
     while uu * (x * x + 4) < b * x:
@@ -480,14 +483,14 @@ def _sort_key(surface: SurfaceModel):
 
 def _resolve_depth(
     surface: SurfaceModel,
-    classes: Sequence[SymplecticClass],
+    duals: Sequence[Sequence[int]],
     n: Optional[int],
     bounds: Optional[EnumerationBounds],
 ) -> tuple[int, bool]:
     """Effective depth and whether it reaches the certified full depth.
 
-    The certified depth is the largest of the classes' own, so it bounds the
-    search for every one of them.
+    duals are scaled area vectors of forward classes.  The certified depth
+    is the largest of the classes' own, so it bounds the search for each.
     """
     if n is not None:
         if n < 1:
@@ -496,10 +499,10 @@ def _resolve_depth(
     elif bounds is not None and bounds.square_min is not None:
         depth = -bounds.square_min
     else:
-        return max(full_search_depth(surface, c) for c in classes), True
+        return max(_certified_depth(surface, w) for w in duals), True
     if surface.kind == BLOWUP and surface.k == 9:
         return depth, False
-    return depth, depth >= max(full_search_depth(surface, c) for c in classes)
+    return depth, depth >= max(_certified_depth(surface, w) for w in duals)
 
 
 def spherical_set(
@@ -517,9 +520,8 @@ def spherical_set(
     """
     if certification not in (CANDIDATE_TIER, CERTIFIED_TIER):
         raise ValidationError(f"unknown certification tier {certification!r}")
-    validate_forward(surface, u)
-    depth, full = _resolve_depth(surface, (u,), n, bounds)
-    w = integral_dual(surface, u)[0]
+    w = forward_dual(surface, u)[0]
+    depth, full = _resolve_depth(surface, (w,), n, bounds)
     members, complete = signed_candidates(surface, w, depth, bounds, least=1)
     status: tuple[tuple[LatticeClass, str], ...] = ()
     if certification == CERTIFIED_TIER:
@@ -539,7 +541,10 @@ def spherical_set(
 def set_difference(
     sa: SphereClassSet, sb: SphereClassSet
 ) -> tuple[SphereClassSet, SphereClassSet]:
-    """(members only in sa, members only in sb) as sets; depths must agree."""
+    """(members only in sa, members only in sb) as sets; depths must agree.
+
+    Each side keeps the member order of its parent, which is set order.
+    """
     if sa.surface != sb.surface:
         raise ValidationError("sphere-class sets live on different surfaces")
     if sa.square_floor != sb.square_floor:
@@ -548,16 +553,12 @@ def set_difference(
             f"({sa.square_floor} vs {sb.square_floor}); recompute at a "
             f"common one"
         )
-    left = set(sa.classes)
-    right = set(sb.classes)
-    key = _sort_key(sa.surface)
-
-    def restrict(parent: SphereClassSet, keep: set) -> SphereClassSet:
-        kept = tuple(sorted(keep, key=key))
-        status = tuple((a, st) for a, st in parent.status if a in keep)
+    def restrict(parent: SphereClassSet, other: set) -> SphereClassSet:
+        kept = tuple(a for a in parent.classes if a not in other)
+        status = tuple((a, st) for a, st in parent.status if a not in other)
         return replace(parent, classes=kept, status=status)
 
-    return restrict(sa, left - right), restrict(sb, right - left)
+    return restrict(sa, set(sb.classes)), restrict(sb, set(sa.classes))
 
 
 def symmetric_difference(
@@ -574,9 +575,8 @@ def symmetric_difference(
     positively with one endpoint, so the larger of the two certified depths
     covers the whole difference.
     """
-    validate_forward(surface, u)
-    validate_forward(surface, v)
-    depth, _ = _resolve_depth(surface, (u, v), n, bounds)
+    duals = (forward_dual(surface, u)[0], forward_dual(surface, v)[0])
+    depth, _ = _resolve_depth(surface, duals, n, bounds)
     sa = spherical_set(surface, u, depth, bounds, certification)
     sb = spherical_set(surface, v, depth, bounds, certification)
     return set_difference(sa, sb)

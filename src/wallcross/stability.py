@@ -21,6 +21,7 @@ that depth supports, which keeps the chain sound.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -35,13 +36,12 @@ from .lattice import (
     LatticeClass,
     SurfaceModel,
     SymplecticClass,
+    forward_dual,
     integral_dual,
     is_forward,
-    pairing,
     primitive_signed,
     render,
     square,
-    validate_forward,
 )
 from .spheres import (
     CANDIDATE_TIER,
@@ -52,7 +52,6 @@ from .spheres import (
     set_difference,
     signed_candidates,
     spherical_set,
-    symmetric_difference,
 )
 
 MODE_FULL = "full"
@@ -158,14 +157,32 @@ def _blend(u: SymplecticClass, v: SymplecticClass, t: Fraction) -> SymplecticCla
     )
 
 
+# What one call knows about a segment: the validated endpoints u, v with
+# their scaled forms (w, L) of `integral_dual`, the joint depth, whether the
+# search there is truncated, and the classes separating u from v, in set order.
+_Segment = namedtuple("_Segment", "u v wu lu wv lv depth truncated only_u only_v")
+
+
+def _segment(
+    surface: SurfaceModel, u: SymplecticClass, v: SymplecticClass,
+    bounds: Optional[EnumerationBounds], n: Optional[int],
+) -> _Segment:
+    """The symmetric difference of u and v, built once for verdict and walls."""
+    wu, lu = forward_dual(surface, u)
+    wv, lv = forward_dual(surface, v)
+    depth, full = _resolve_depth(surface, (wu, wv), n, bounds)
+    su, complete = signed_candidates(surface, wu, depth, bounds, least=1)
+    sv = signed_candidates(surface, wv, depth, bounds, least=1)[0]
+    left, right = set(su), set(sv)
+    return _Segment(
+        u, v, wu, lu, wv, lv, depth, not (full and complete),
+        tuple(a for a in su if a not in right),
+        tuple(a for a in sv if a not in left),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
-
-
-def _tier_of(surface: SurfaceModel, classes: Sequence[LatticeClass]) -> str:
-    if all(is_certified(surface, a) for a in classes):
-        return CERTIFIED_TIER
-    return CANDIDATE_TIER
 
 
 def _range_for(level: int) -> Optional[tuple[int, int]]:
@@ -187,13 +204,15 @@ def max_stable_level(
     follows.  A truncated search (explicit depth, or the 9-fold blow-up)
     can certify a level but never fullness.
     """
-    only_u, only_v = symmetric_difference(surface, u, v, n, bounds)
-    depth = only_u.square_floor
-    diff = only_u.classes + only_v.classes
-    truncated = not all(s.full and s.complete for s in (only_u, only_v))
+    return _verdict(surface, _segment(surface, u, v, bounds, n))
+
+
+def _verdict(surface: SurfaceModel, seg: _Segment) -> StabilityVerdict:
+    depth = seg.depth
+    diff = seg.only_u + seg.only_v
     s_diff: Optional[int] = None
     tier = CERTIFIED_TIER
-    if not diff and not truncated:
+    if not diff and not seg.truncated:
         mode, level = MODE_FULL, None
         just = (
             f"the full sphere-class sets coincide (no separating class "
@@ -215,7 +234,8 @@ def max_stable_level(
     else:
         s_diff = max(square(surface, a) for a in diff)
         witness = next(a for a in diff if square(surface, a) == s_diff)
-        tier = _tier_of(surface, diff)
+        if not all(is_certified(surface, a) for a in diff):
+            tier = CANDIDATE_TIER
         tier_note = (
             "every separating class is a certified exceptional or root class"
             if tier == CERTIFIED_TIER
@@ -279,27 +299,29 @@ def segment_walls(
     whose wall contains an endpoint (crossing parameter 0 or 1), or contains
     the entire segment, is degenerate input and rejected by name.
     """
-    only_u, only_v = symmetric_difference(surface, u, v, n, bounds)
-    depth = only_u.square_floor
+    return _walls(surface, _segment(surface, u, v, bounds, n), bounds)
+
+
+def _walls(
+    surface: SurfaceModel, seg: _Segment, bounds: Optional[EnumerationBounds]
+) -> tuple[WallCrossing, ...]:
     # A class on the walls of both endpoints belongs to neither set, so the
     # degeneracy scan runs over every candidate with u.A >= 0, not just the
     # members.
-    wu = integral_dual(surface, u)[0]
-    wv = integral_dual(surface, v)[0]
-    for a in signed_candidates(surface, wu, depth, bounds)[0]:
-        if (
-            sum(map(mul, wu, a.coords)) == 0
-            and sum(map(mul, wv, a.coords)) == 0
-        ):
+    wu, wv = seg.wu, seg.wv
+    for a in signed_candidates(surface, wu, seg.depth, bounds)[0]:
+        if sum(map(mul, wu, a.coords)) == 0 and sum(map(mul, wv, a.coords)) == 0:
             raise DegenerateSegmentError(
                 f"both endpoints lie on the wall of {render(surface, a)}; "
                 f"the segment runs inside that hyperplane"
             )
     crossings: list[WallCrossing] = []
-    for direction, side in ((DIRECTION_LOST, only_u), (DIRECTION_GAINED, only_v)):
-        for a in side.classes:
-            pu = pairing(surface, u, a)
-            pv = pairing(surface, v, a)
+    sides = ((DIRECTION_LOST, seg.only_u), (DIRECTION_GAINED, seg.only_v))
+    for direction, side in sides:
+        for a in side:
+            # w.A = L (x.A), so these are Lu Lv u.A and Lu Lv v.A
+            pu = sum(map(mul, wu, a.coords)) * seg.lv
+            pv = sum(map(mul, wv, a.coords)) * seg.lu
             t_star = Fraction(pu, pu - pv)
             if t_star == 0 or t_star == 1:
                 endpoint = "u" if t_star == 0 else "u'"
@@ -334,39 +356,39 @@ def is_generic(walls: Sequence[WallCrossing]) -> bool:
 # Perturbation
 
 
-def _segment_ready(
-    surface: SurfaceModel,
-    u: SymplecticClass,
-    v: SymplecticClass,
-    bounds: Optional[EnumerationBounds],
-    n: Optional[int],
-) -> bool:
+def _ready(
+    surface: SurfaceModel, seg: _Segment, bounds: Optional[EnumerationBounds]
+) -> Optional[tuple[WallCrossing, ...]]:
+    """The walls of a segment, or None when they are degenerate or not generic."""
     try:
-        return is_generic(segment_walls(surface, u, v, bounds, n))
+        walls = _walls(surface, seg, bounds)
     except DegenerateSegmentError:
-        return False
+        return None
+    return walls if is_generic(walls) else None
 
 
 def _perturb_detail(
-    surface: SurfaceModel,
-    u: SymplecticClass,
-    v: SymplecticClass,
-    bounds: Optional[EnumerationBounds] = None,
-    n: Optional[int] = None,
-) -> tuple[SymplecticClass, Optional[PerturbationRecord]]:
-    if _segment_ready(surface, u, v, bounds, n):
-        return u, None
+    surface: SurfaceModel, seg: _Segment,
+    bounds: Optional[EnumerationBounds], n: Optional[int],
+) -> tuple[_Segment, tuple[WallCrossing, ...], Optional[PerturbationRecord]]:
+    """The segment to sample from, its generic walls and the perturbation."""
+    walls = _ready(surface, seg, bounds)
+    if walls is not None:
+        return seg, walls, None
     # Square -2 candidates are roots.  If u lies on the wall of a root R in
     # the pool, neither R nor -R is in set(u), so a replacement keeping
     # set(u) lies on that wall as well, and the wall meets its segment to v
     # at t* = 0 or contains it: no basis direction can succeed.
-    depth, _ = _resolve_depth(surface, (u, v), n, bounds)
-    wu = integral_dual(surface, u)[0]
-    if depth >= 2 and any(
+    u, wu = seg.u, seg.wu
+    if seg.depth >= 2 and any(
         sum(map(mul, wu, r.coords)) == 0 and square(surface, r) == -2
         for r in signed_candidates(surface, wu, 2, bounds)[0]
     ):
         raise ValidationError(_NO_PERTURBATION)
+    # The witness depth of u and a candidate is the larger of their own;
+    # kept holds set(u) per witness depth.
+    own_depth = _resolve_depth(surface, (wu,), n, bounds)[0]
+    kept: dict[int, tuple[LatticeClass, ...]] = {}
     basis = surface.basis()
     for j in range(_MAX_EPS_HALVINGS + 1):
         eps = Fraction(1, 2**j)
@@ -376,20 +398,22 @@ def _perturb_detail(
             )
             if not is_forward(surface, cand):
                 continue
-            witness_depth, _ = _resolve_depth(surface, (u, cand), n, bounds)
-            su = spherical_set(surface, u, witness_depth, bounds)
-            sc = spherical_set(surface, cand, witness_depth, bounds)
-            lost, gained = set_difference(su, sc)
-            if lost.classes or gained.classes:
+            wc = integral_dual(surface, cand)[0]
+            depth = max(own_depth, _resolve_depth(surface, (wc,), n, bounds)[0])
+            if depth not in kept:
+                kept[depth] = signed_candidates(surface, wu, depth, bounds, least=1)[0]
+            if signed_candidates(surface, wc, depth, bounds, least=1)[0] != kept[depth]:
                 continue
-            if not _segment_ready(surface, cand, v, bounds, n):
+            moved = _segment(surface, cand, seg.v, bounds, n)
+            moved_walls = _ready(surface, moved, bounds)
+            if moved_walls is None:
                 continue
-            return cand, PerturbationRecord(
+            return moved, moved_walls, PerturbationRecord(
                 original=u,
                 replacement=cand,
                 epsilon=eps,
                 direction=b,
-                witness_depth=witness_depth,
+                witness_depth=depth,
             )
     raise ValidationError(_NO_PERTURBATION)
 
@@ -410,8 +434,7 @@ def perturb(
     Safety comes from check (b), which is exact, not from epsilon being
     small.  Already-generic input returns u unchanged.
     """
-    replacement, _ = _perturb_detail(surface, u, v, bounds, n)
-    return replacement
+    return _perturb_detail(surface, _segment(surface, u, v, bounds, n), bounds, n)[0].u
 
 
 # ---------------------------------------------------------------------------
@@ -427,50 +450,40 @@ def certify(
 ) -> StabilityCertificate:
     """Build and verify the full wall-crossing certificate for a segment.
 
-    The left endpoint is perturbed first if needed.  Samples consist of the
+    The endpoints are validated and scaled once, and one symmetric
+    difference and one wall scan per segment give its walls and the direct
+    verdict.  The left endpoint is perturbed first if those walls are
+    degenerate or not generic; the walls then come from the perturbed
+    segment, the verdict still from (u, v).  Samples consist of the
     (possibly perturbed) left endpoint, the midpoint of every interior
     chamber interval, and the right endpoint.  For each adjacent sample
-    pair the sphere-class sets are recomputed from scratch and their
-    difference must consist of exactly the wall classes crossed between the
-    two samples; any mismatch, or a verdict differing from the direct
-    set-difference verdict, raises a consistency error since it can only be
-    an implementation bug.
+    pair the sphere-class sets are recomputed independently through
+    `spherical_set`, and their difference must consist of exactly the wall
+    classes crossed between the two samples; any mismatch, or a verdict
+    differing from the direct set-difference verdict, raises a consistency
+    error since it can only be an implementation bug.
     """
-    validate_forward(surface, u)
-    validate_forward(surface, v)
-    base, record = _perturb_detail(surface, u, v, bounds, n)
-    walls = segment_walls(surface, base, v, bounds, n)
+    seg = _segment(surface, u, v, bounds, n)
+    base, walls, record = _perturb_detail(surface, seg, bounds, n)
     if not is_generic(walls):
         raise ConsistencyError(
             "segment still not generic after perturbation; this is a bug"
         )
-    depth, _ = _resolve_depth(surface, (base, v), n, bounds)
 
     t_values = sorted({w.t_star for w in walls})
-    sample_ts: list[Fraction] = [Fraction(0)]
-    for i in range(len(t_values) - 1):
-        sample_ts.append((t_values[i] + t_values[i + 1]) / 2)
-    sample_ts.append(Fraction(1))
-    samples = tuple(_blend(base, v, t) for t in sample_ts)
+    mids = [(a + b) / 2 for a, b in zip(t_values, t_values[1:])]
+    sample_ts = [Fraction(0), *mids, Fraction(1)]
+    samples = tuple(_blend(base.u, v, t) for t in sample_ts)
 
-    sets = [spherical_set(surface, s, depth, bounds) for s in samples]
+    sets = [spherical_set(surface, s, base.depth, bounds) for s in samples]
     chain: list[ChainLink] = []
     for i in range(len(samples) - 1):
         lost, gained = (s.classes for s in set_difference(sets[i], sets[i + 1]))
         lo, hi = sample_ts[i], sample_ts[i + 1]
-        expect_lost = tuple(
-            sorted(
-                (w.wall_class for w in walls
-                 if w.direction == DIRECTION_LOST and lo < w.t_star < hi),
-            )
-        )
-        expect_gained = tuple(
-            sorted(
-                (w.wall_class for w in walls
-                 if w.direction == DIRECTION_GAINED and lo < w.t_star < hi),
-            )
-        )
-        if sorted(lost) != list(expect_lost) or sorted(gained) != list(expect_gained):
+        between = [(w.direction, w.wall_class) for w in walls if lo < w.t_star < hi]
+        expect_lost = sorted(a for d, a in between if d == DIRECTION_LOST)
+        expect_gained = sorted(a for d, a in between if d == DIRECTION_GAINED)
+        if sorted(lost) != expect_lost or sorted(gained) != expect_gained:
             raise ConsistencyError(
                 f"chain link {i}: sample sets differ by "
                 f"{[render(surface, a) for a in lost + gained]} but the wall "
@@ -510,7 +523,7 @@ def certify(
             )
         )
 
-    verdict = max_stable_level(surface, u, v, bounds, n)
+    verdict = _verdict(surface, seg)
     crossed = tuple(w.wall_class for w in walls)
     if crossed:
         chain_s_diff = max(square(surface, a) for a in crossed)
@@ -538,5 +551,5 @@ def certify(
         samples=samples,
         chain=tuple(chain),
         verdict=verdict,
-        square_floor=depth,
+        square_floor=base.depth,
     )

@@ -1,11 +1,18 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import wallcross as wc
-from wallcross import MissingBoundsError, ValidationError
+from wallcross import MissingBoundsError, ValidationError, spheres
+from wallcross.serialize import sphere_set_from_json
+from wallcross.spheres import _sort_key
 
 from _support import box_candidates, oracle_radius
+
+GOLDEN = Path(__file__).parent / "golden"
+SET_FILES = (GOLDEN / "sets_floor3_a.json", GOLDEN / "sets_floor3_b.json")
 
 
 def classes(surface, s, bounds=None):
@@ -208,6 +215,51 @@ def test_set_difference_depth_mismatch():
     sb = wc.spherical_set(p, v, n=4)
     with pytest.raises(ValidationError):
         wc.set_difference(sa, sb)
+
+
+def _in_set_order(surface, classes):
+    return list(classes) == sorted(classes, key=_sort_key(surface))
+
+
+def test_set_difference_keeps_set_order():
+    s = wc.blow_up(2)
+    u = wc.from_areas(s, (7, 5, 2))
+    v = wc.from_areas(s, (12, 3, 4))
+    sa, sb = wc.spherical_set(s, u, n=6), wc.spherical_set(s, v, n=6)
+    only_u, only_v = wc.set_difference(sa, sb)
+    # both sides span several squares, and coordinate order alone differs
+    for side in (only_u, only_v):
+        assert len({wc.square(s, a) for a in side.classes}) >= 2
+        assert _in_set_order(s, side.classes)
+        assert list(side.classes) != sorted(side.classes)
+    # the set files read by `diff --sets-a/--sets-b`
+    sa, sb = (sphere_set_from_json(json.loads(f.read_text())) for f in SET_FILES)
+    only_a, only_b = wc.set_difference(sa, sb)
+    assert only_a.classes and only_b.classes
+    for side in (only_a, only_b):
+        assert _in_set_order(sa.surface, side.classes)
+        assert [a for a, _ in side.status] == list(side.classes)
+
+
+def test_set_difference_makes_no_pairing(monkeypatch):
+    from wallcross import lattice
+
+    s = wc.blow_up(2)
+    sa = wc.spherical_set(s, wc.from_areas(s, (7, 5, 2)), n=6)
+    sb = wc.spherical_set(s, wc.from_areas(s, (12, 3, 4)), n=6)
+    calls = []
+    real = lattice.pairing
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (wc, lattice, spheres):
+        if getattr(module, "pairing", None) is real:
+            monkeypatch.setattr(module, "pairing", counting)
+    only_u, only_v = wc.set_difference(sa, sb)
+    assert only_u.classes and only_v.classes
+    assert calls == []
 
 
 def test_symmetric_difference_covers_both_endpoints():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -220,3 +222,71 @@ class TestCertificates:
         assert cert.verdict.mode == wc.MODE_FULL
         assert len(cert.samples) == 2
         assert [link.relation for link in cert.chain] == [wc.RELATION_EQUAL]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "surface, u, v",
+        [
+            (P, ("5/2", 1), ("9/2", 1)),
+            (wc.blow_up(3), (10, 4, 3, 2), (12, 5, 3, 1)),
+        ],
+    )
+    def test_certify_enumerates_each_set_once(self, monkeypatch, surface, u, v):
+        # set(u), set(v) and one wall scan, then one set per chain sample
+        from wallcross import spheres, stability
+
+        calls = []
+        real = spheres.signed_candidates
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (wc, spheres, stability):
+            if getattr(module, "signed_candidates", None) is real:
+                monkeypatch.setattr(module, "signed_candidates", counting)
+        u = wc.from_areas(surface, [Fraction(c) for c in u])
+        v = wc.from_areas(surface, [Fraction(c) for c in v])
+        cert = wc.certify(surface, u, v)
+        assert cert.perturbation is None
+        assert cert.walls
+        assert len(calls) == 3 + len(cert.samples)
+
+    def test_t_star_matches_fraction_pairings(self):
+        # the endpoints have different denominators, so the scaled pairings
+        # behind t* carry different factors L_u != L_v
+        rng = random.Random(902)
+        dens = (2, 3, 5, 12)
+
+        def draw(surface, den):
+            while True:
+                if surface == P:
+                    areas = (rng.randint(2 * den, 5 * den), rng.randint(den, 2 * den))
+                else:
+                    areas = (rng.randint(4 * den, 8 * den),) + tuple(
+                        rng.sample(range(1, 4 * den), surface.k)
+                    )
+                u = wc.from_areas(surface, [Fraction(a, den) for a in areas])
+                if (
+                    lcm(*(c.denominator for c in u.coords)) == den
+                    and wc.is_forward(surface, u)
+                    and wc.full_search_depth(surface, u) <= 6
+                ):
+                    return u
+
+        checked = 0
+        for surface in [P] + [wc.blow_up(k) for k in range(2, 7)]:
+            for _ in range(20):
+                du, dv = rng.sample(dens, 2)
+                u, v = draw(surface, du), draw(surface, dv)
+                try:
+                    walls = wc.segment_walls(surface, u, v)
+                except DegenerateSegmentError:
+                    continue
+                for w in walls:
+                    pu = wc.pairing(surface, u, w.wall_class)
+                    pv = wc.pairing(surface, v, w.wall_class)
+                    assert w.t_star == Fraction(pu) / (pu - pv)
+                checked += len(walls)
+        assert checked >= 200
